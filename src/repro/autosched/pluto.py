@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.computation import Computation
-from repro.core.deps import (carried_at_level, check_schedule_legality,
+from repro.core.deps import (Dependence, DependenceAnalysis,
                              compute_dependences)
 from repro.core.errors import IllegalScheduleError, ScheduleError
 
@@ -69,6 +69,7 @@ def _producer_pairs(fn) -> List[Tuple[Computation, Computation]]:
 
 def _try_fuse(fn, plan: SchedulePlan, prod: Computation,
               cons: Computation, report: AutoScheduleReport,
+              deps: List[Dependence],
               allow_interchange: bool = True) -> bool:
     """Fuse consumer after producer at the deepest legal shared level.
 
@@ -86,7 +87,7 @@ def _try_fuse(fn, plan: SchedulePlan, prod: Computation,
         except ScheduleError:
             continue
         try:
-            check_schedule_legality(fn)
+            DependenceAnalysis(fn, deps).check_legality()
             report.fused.append((prod.name, cons.name, level))
             return True
         except IllegalScheduleError:
@@ -102,7 +103,7 @@ def _try_fuse(fn, plan: SchedulePlan, prod: Computation,
         except ScheduleError:
             return False
         report.interchanged.append(cons.name)
-        if _try_fuse(fn, plan, prod, cons, report,
+        if _try_fuse(fn, plan, prod, cons, report, deps,
                      allow_interchange=False):
             return True
         plan.pop(fn)
@@ -113,13 +114,16 @@ def _try_fuse(fn, plan: SchedulePlan, prod: Computation,
 def build_pluto_plan(fn, tile_size: int = 32, fuse: bool = True
                      ) -> Tuple[SchedulePlan, AutoScheduleReport]:
     """Run the greedy pass and return (plan, report); ``fn`` is left
-    pristine (the plan is built applied, then undone)."""
+    pristine (the plan is built applied, then undone).  Dependences are
+    computed once: the plan's actions never change what they are built
+    from."""
     plan = SchedulePlan()
     report = AutoScheduleReport()
+    deps = compute_dependences(fn)
     try:
         if fuse:
             for prod, cons in _producer_pairs(fn):
-                _try_fuse(fn, plan, prod, cons, report)
+                _try_fuse(fn, plan, prod, cons, report, deps)
         for comp in _schedulable(fn):
             if len(comp.time_names) >= 2:
                 report.candidates += 1
@@ -129,22 +133,17 @@ def build_pluto_plan(fn, tile_size: int = 32, fuse: bool = True
                     report.tiled.append(comp.name)
                 except ScheduleError:
                     pass
-        deps = compute_dependences(fn)
-        beta = fn.resolve_order()
-        depth = fn.max_depth()
-        sched: Dict[str, object] = {}
-        rels: Dict[int, object] = {}
+        analysis = DependenceAnalysis(fn, deps)
         for comp in _schedulable(fn):
             for level in range(min(2, len(comp.time_names))):
-                if not carried_at_level(fn, comp, level, deps=deps,
-                                        beta=beta, depth=depth,
-                                        sched=sched, rels=rels):
+                if not analysis.carried(comp, level):
                     plan.push(fn, Parallelize(comp.name, level))
                     report.parallelized.append((comp.name, level))
                     break
         # Tiling/parallelization after fusion should be legal; if not,
         # fail loudly — the auto-scheduler must never emit wrong code.
-        check_schedule_legality(fn)
+        # Parallelize adds only tags, so the analysis is still current.
+        analysis.check_legality()
     finally:
         if plan.applied:
             plan.undo(fn)

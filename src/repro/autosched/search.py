@@ -8,10 +8,12 @@ automatically (PAPERS.md: arXiv 1908.01057); this module searches it:
    interchange of adjacent levels, tiling (sizes 16/32/64/128),
    vectorize-innermost, unroll (2/4/8), parallelize the outermost
    non-carried level — as reified :mod:`~repro.autosched.actions`.
-2. **Prune** every extension with :func:`check_schedule_legality` (+
-   the race detector for tagged levels), so *zero illegal plans reach
-   the oracle* — the memoized ISL caches (PR 5) make thousands of
-   probes affordable.
+2. **Prune** every extension with the legality check (+ the race
+   detector for tagged levels) of one
+   :class:`~repro.core.deps.DependenceAnalysis` per candidate, so *zero
+   illegal plans reach the oracle*; dependences are computed once per
+   search and the memoized ISL caches make thousands of probes
+   affordable.
 3. **Rank** survivors with a :class:`~repro.autosched.oracle.CostOracle`
    and keep the best ``beam_width`` plans per round; optionally re-rank
    the finalists with a :class:`~repro.autosched.oracle.MeasuredOracle`.
@@ -33,8 +35,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.computation import Computation, Input, Operation
-from repro.core.deps import (carried_at_level, check_parallel_legality,
-                             check_schedule_legality, compute_dependences)
+from repro.core.deps import (Dependence, DependenceAnalysis,
+                             compute_dependences)
 from repro.core.errors import IllegalScheduleError, ScheduleError
 from repro.ir.expr import accesses_in
 from repro.obs.events import (EVT_SEARCH, compile_context,
@@ -78,10 +80,13 @@ def producer_pairs(fn) -> List[Tuple[Computation, Computation]]:
     return pairs
 
 
-def enumerate_actions(fn, max_depth: int = MAX_NEST_DEPTH
+def enumerate_actions(fn, max_depth: int = MAX_NEST_DEPTH,
+                      deps: Optional[List[Dependence]] = None
                       ) -> List[ScheduleAction]:
     """The legal-looking moves from the function's current schedule
     state (structural filters only; real legality is the pruner's job).
+    ``deps`` are the function's dependences when the caller already has
+    them (see :class:`DependenceAnalysis`).
 
     Filters keep the branching factor sane: interchange/tile only touch
     untagged adjacent levels, each computation gets at most one vector /
@@ -101,11 +106,7 @@ def enumerate_actions(fn, max_depth: int = MAX_NEST_DEPTH
         for level in range(shared - 1, -1, -1):
             actions.append(Fuse(cons.name, prod.name, level))
 
-    deps = compute_dependences(fn)
-    beta = fn.resolve_order()
-    depth = fn.max_depth()
-    sched: Dict[str, object] = {}
-    rels: Dict[int, object] = {}
+    analysis = DependenceAnalysis(fn, deps)
 
     for comp in comps:
         n = len(comp.time_names)
@@ -137,9 +138,7 @@ def enumerate_actions(fn, max_depth: int = MAX_NEST_DEPTH
             for level in range(min(2, n)):
                 if level in tagged:
                     continue
-                if not carried_at_level(fn, comp, level, deps=deps,
-                                        beta=beta, depth=depth,
-                                        sched=sched, rels=rels):
+                if not analysis.carried(comp, level):
                     actions.append(Parallelize(comp.name, level))
                     break
     return actions
@@ -175,8 +174,17 @@ class _Budget:
         return True
 
 
+def _legal(fn, deps: List[Dependence]) -> None:
+    """Raise IllegalScheduleError unless the current schedule passes
+    the legality and race checks, on one analysis built from the
+    search's ``deps``."""
+    analysis = DependenceAnalysis(fn, deps)
+    analysis.check_legality()
+    analysis.check_races()
+
+
 def _try_extension(fn, applied: SchedulePlan, action: ScheduleAction,
-                   report: SearchReport) -> bool:
+                   report: SearchReport, deps: List[Dependence]) -> bool:
     """Push ``action`` onto the applied plan and keep it only if the
     full schedule stays legal.  Returns True with the action applied,
     or False with the function untouched.  This is the *only* gate
@@ -189,8 +197,7 @@ def _try_extension(fn, applied: SchedulePlan, action: ScheduleAction,
         # a move from this state.
         return False
     try:
-        check_schedule_legality(fn)
-        check_parallel_legality(fn)
+        _legal(fn, deps)
         return True
     except IllegalScheduleError:
         applied.pop(fn)
@@ -201,12 +208,13 @@ def _try_extension(fn, applied: SchedulePlan, action: ScheduleAction,
 
 
 def _expand(fn, plan: SchedulePlan, budget: _Budget, seen: set,
-            report: SearchReport) -> List[SchedulePlan]:
+            report: SearchReport, deps: List[Dependence]
+            ) -> List[SchedulePlan]:
     """All legal one-action extensions of ``plan`` (unapplied copies)."""
     out: List[SchedulePlan] = []
     applied = plan.copy().apply(fn)
     try:
-        for action in enumerate_actions(fn):
+        for action in enumerate_actions(fn, deps=deps):
             candidate = plan.extended(action)
             key = candidate.serialize()
             if key in seen:
@@ -216,7 +224,7 @@ def _expand(fn, plan: SchedulePlan, budget: _Budget, seen: set,
                 break
             report.candidates += 1
             metrics.counter("autosched.candidates").inc()
-            if _try_extension(fn, applied, action, report):
+            if _try_extension(fn, applied, action, report, deps):
                 applied.pop(fn)
                 out.append(candidate)
                 emit_event("search.candidate", EVT_SEARCH,
@@ -247,19 +255,25 @@ def beam_search(fn, oracle: CostOracle, *, beam_width: int = 4,
     (inherited when a batch or caller installed one), so its round /
     candidate / prune / measure events — and the compiles a
     ``MeasuredOracle`` triggers — tell one story in the event log.
+
+    Dependences are computed once for the whole search: actions change
+    only time maps, tags and order directives, never the domains,
+    accesses or buffers dependences are built from.
     """
     with compile_context(current_compile_id() or new_compile_id()):
         return _beam_search_inner(
             fn, oracle, beam_width=beam_width, rounds=rounds,
             budget=budget, measure_oracle=measure_oracle,
-            measure_top_k=measure_top_k, report=report)
+            measure_top_k=measure_top_k, report=report,
+            deps=compute_dependences(fn))
 
 
 def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
                        rounds: int, budget: Optional[int],
                        measure_oracle: Optional[CostOracle],
                        measure_top_k: int,
-                       report: Optional[SearchReport]
+                       report: Optional[SearchReport],
+                       deps: List[Dependence]
                        ) -> Tuple[SchedulePlan, SearchReport]:
     tracer = get_tracer()
     report = report or SearchReport(strategy="beam")
@@ -279,7 +293,8 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
         with tracer.span("autosched.round", cat="autosched",
                          round=round_no, beam=len(beam)):
             for plan, _cost in beam:
-                frontier.extend(_expand(fn, plan, budget_, seen, report))
+                frontier.extend(_expand(fn, plan, budget_, seen, report,
+                                        deps))
             if not frontier:
                 break
             scored = oracle.rank(fn, frontier)
@@ -382,9 +397,11 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
                                measure_top_k: int
                                ) -> Tuple[SchedulePlan, SearchReport]:
     report = SearchReport(strategy="evolutionary")
-    best_plan, report = beam_search(
+    deps = compute_dependences(fn)
+    best_plan, report = _beam_search_inner(
         fn, oracle, beam_width=beam_width, rounds=rounds, budget=budget,
-        report=report, measure_oracle=None)
+        report=report, measure_oracle=None, measure_top_k=measure_top_k,
+        deps=deps)
     report.strategy = "evolutionary"
     rng = random.Random(seed)
     budget_ = _Budget(budget)
@@ -408,8 +425,7 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
                     applied = None
                     try:
                         applied = mutant.copy().apply(fn)
-                        check_schedule_legality(fn)
-                        check_parallel_legality(fn)
+                        _legal(fn, deps)
                         candidates.append(mutant)
                     except IllegalScheduleError:
                         report.pruned_illegal += 1
@@ -420,7 +436,7 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
                         if applied is not None and applied.applied:
                             applied.undo()
                 candidates.extend(
-                    _expand(fn, plan, budget_, seen, report))
+                    _expand(fn, plan, budget_, seen, report, deps))
             if not candidates:
                 break
             scored = oracle.rank(fn, candidates)

@@ -14,6 +14,7 @@ accessed dimension unconstrained, as Section V-B prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.affine import NonAffineError, expr_to_linexpr
@@ -214,13 +215,15 @@ def dependence_distance(dep: Dependence,
     Classic use: a dependence with distance (1, -1) allows skewing; all
     positive leading entries means outer parallelism is illegal, etc.
     """
-    if dep.source is not dep.sink and             len(dep.source.var_names) != len(dep.sink.var_names):
+    if dep.source is not dep.sink and \
+            len(dep.source.var_names) != len(dep.sink.var_names):
         return None
     from repro.isl.sample import sample as isl_sample
     n = len(dep.source.var_names)
+    values = dict(param_vals)
     for bm in dep.relation.pieces:
         flat = bm.to_set()
-        pt = isl_sample(flat, dict(param_vals))
+        pt = isl_sample(flat, values)
         if pt is None:
             continue
         cand = tuple(pt[n + k] - pt[k] for k in range(n))
@@ -233,10 +236,10 @@ def dependence_distance(dep: Dependence,
                     test = other.add_constraint(Constraint.ge(strict))
                     subst = test
                     for i, p in enumerate(test.space.params):
-                        if p in dict(param_vals):
+                        if p in values:
                             subst = subst.copy_with(constraints=[
                                 c.substitute((PARAM, i), LinExpr.constant(
-                                    dict(param_vals)[p]))
+                                    values[p]))
                                 for c in subst.constraints])
                     if not subst.is_empty():
                         return None
@@ -280,127 +283,196 @@ def full_schedule_map(comp, beta: List[int], depth: int) -> Map:
     return m.intersect(fwd_full)
 
 
-def _time_violation(rel: Map, n_out: int) -> bool:
+def _time_violation(rel: Map, beta_src: Sequence[int],
+                    beta_snk: Sequence[int]) -> bool:
     """True if rel (time_p -> time_q) contains a pair with
-    time_q <=_lex time_p."""
+    time_q <_lex time_p: the two vectors agree before some position k
+    and time_q[k] < time_p[k].  Pairs with equal time vectors are not
+    reported: β separates distinct computations, and within one
+    computation only a non-injective schedule could produce them.
+
+    ``beta_src``/``beta_snk`` are the static (β) entries of the source
+    and sink: positions 2k of the interleaved ``[β0, d0, β1, ...]``
+    vector hold the constants ``beta_src[k]`` and ``beta_snk[k]`` on
+    every pair, so two integers decide each static position without an
+    emptiness test.  Equal β agree trivially and cannot be strict; a
+    source β above the sink's makes the position a violation exactly
+    when the prefix-equal system is non-empty; either way, unequal β
+    end the scan, since every later position needs them equal.
+    """
+    n_out = 2 * len(beta_src) - 1
     for bm in rel.pieces:
-        # Equality case and per-level strict cases.
+        prefix: List[Constraint] = []
         for k in range(n_out):
-            cons = [Constraint.eq(LinExpr.dim(OUT, j) - LinExpr.dim(IN, j))
-                    for j in range(k)]
-            cons.append(Constraint.ge(LinExpr.dim(IN, k)
-                                      - LinExpr.dim(OUT, k) - 1))
-            if not bm.add_constraints(cons).is_empty():
-                return True
-    return False
-
-
-def check_schedule_legality(fn) -> int:
-    """Raise IllegalScheduleError if the current schedule reorders any
-    dependence (paper Section II-c / V); returns the number of
-    dependences checked (recorded by the compile driver's profiling).
-
-    Computations nested by ``compute_at`` execute *redundantly* (the
-    overlapped tiling of Section III-C): every copy recomputes the same
-    value, so the write-after-read hazards between their copies and
-    their consumers are benign and are not checked (memory-based
-    analysis cannot distinguish a benign recompute from a real
-    overwrite).
-    """
-    deps = [d for d in compute_dependences(fn)
-            if d.source.anchor is None and d.sink.anchor is None]
-    if not deps:
-        return 0
-    beta = fn.resolve_order()
-    depth = fn.max_depth()
-    n_out = 2 * depth + 1
-    sched: Dict[str, Map] = {}
-    sched_rev: Dict[str, Map] = {}
-    for dep in deps:
-        for comp in (dep.source, dep.sink):
-            if comp.name not in sched:
-                sched[comp.name] = full_schedule_map(
-                    comp, beta[comp.name], depth)
-                sched_rev[comp.name] = sched[comp.name].reverse()
-        rel = (sched_rev[dep.source.name]
-               .apply_range(dep.relation)
-               .apply_range(sched[dep.sink.name]))
-        if _time_violation(rel, n_out):
-            raise IllegalScheduleError(
-                f"schedule violates {dep.kind} dependence "
-                f"{dep.source.name} -> {dep.sink.name} on buffer "
-                f"{dep.buffer.name}")
-    return len(deps)
-
-
-def carried_at_level(fn, comp, level: int,
-                     deps: Optional[List[Dependence]] = None,
-                     beta=None, depth: Optional[int] = None,
-                     sched: Optional[Dict[str, Map]] = None,
-                     rels: Optional[Dict[int, Map]] = None
-                     ) -> List[Dependence]:
-    """Dependences carried by loop ``level`` of ``comp`` (same values of
-    all outer dims, different at ``level``).  A loop can be parallelized,
-    vectorized or distributed only if this is empty (paper Table II).
-
-    ``deps``/``beta``/``depth`` may be passed precomputed so callers
-    checking many (computation, level) pairs — the race detector — run
-    the dependence analysis once; ``sched`` (schedule maps by
-    computation name) and ``rels`` (time-space dependence relations by
-    ``id(dep)``) are shared scratch caches for the same callers, since
-    neither varies with ``level``.
-    """
-    if deps is None:
-        deps = compute_dependences(fn)
-    if beta is None:
-        beta = fn.resolve_order()
-    if depth is None:
-        depth = fn.max_depth()
-    if sched is None:
-        sched = {}
-    carried: List[Dependence] = []
-
-    def sched_map(c) -> Map:
-        m = sched.get(c.name)
-        if m is None:
-            m = full_schedule_map(c, beta[c.name], depth)
-            sched[c.name] = m
-        return m
-
-    for dep in deps:
-        if dep.source is not comp and dep.sink is not comp:
-            continue
-        rel = rels.get(id(dep)) if rels is not None else None
-        if rel is None:
-            rel = (sched_map(dep.source).reverse()
-                   .apply_range(dep.relation)
-                   .apply_range(sched_map(dep.sink)))
-            if rels is not None:
-                rels[id(dep)] = rel
-        # Carried: equal on all dims before dyn dim `level`, different at
-        # `level` (position 2*level+1 in the interleaved vector).
-        pos = 2 * level + 1
-        found = False
-        for bm in rel.pieces:
-            cons = [Constraint.eq(LinExpr.dim(OUT, j) - LinExpr.dim(IN, j))
-                    for j in range(pos)]
-            for strict in (1, -1):
-                diff = (LinExpr.dim(OUT, pos) - LinExpr.dim(IN, pos)) * strict
-                test = bm.add_constraints(
-                    cons + [Constraint.ge(diff - 1)])
-                if not test.is_empty():
-                    found = True
+            if k % 2 == 0:
+                b_src, b_snk = beta_src[k // 2], beta_snk[k // 2]
+                if b_src != b_snk:
+                    if b_src > b_snk and \
+                            not bm.add_constraints(prefix).is_empty():
+                        return True
                     break
-            if found:
-                break
-        if found:
-            carried.append(dep)
-    return carried
+            elif not bm.add_constraints(prefix + [Constraint.ge(
+                    LinExpr.dim(IN, k) - LinExpr.dim(OUT, k) - 1)]
+                    ).is_empty():
+                return True
+            prefix.append(Constraint.eq(LinExpr.dim(OUT, k)
+                                        - LinExpr.dim(IN, k)))
+    return False
 
 
 #: Tag kinds whose loops execute iterations concurrently and therefore
 #: must not carry a dependence (paper Table II).
 RACE_CHECKED_TAGS = ("parallel", "vector", "distributed")
+
+
+class DependenceAnalysis:
+    """The dependence analysis of one schedule of ``fn``, shared by
+    every legality and race question asked about that schedule.
+
+    It holds the dependences, the β vectors and depth, each
+    computation's full schedule map and each dependence's time-space
+    relation, all built on first use.  ``deps`` may be passed in
+    precomputed: dependences depend only on domains, accesses and
+    buffers, which no schedule command changes, so a search computes
+    them once and builds one analysis per candidate schedule.
+
+    Once :meth:`check_legality` has passed, the race check tests only
+    the forward direction of each dependence it proved: the backward
+    direction at a dynamic level is exactly a legality test that has
+    already come back empty.
+    """
+
+    def __init__(self, fn, deps: Optional[List[Dependence]] = None):
+        self.fn = fn
+        if deps is not None:
+            self.deps = deps
+        self._sched: Dict[str, Map] = {}
+        self._sched_rev: Dict[str, Map] = {}
+        self._rels: Dict[int, Map] = {}
+        #: ids of the dependences a passing legality check proved.
+        self._proven: frozenset = frozenset()
+
+    @cached_property
+    def deps(self) -> List[Dependence]:
+        return compute_dependences(self.fn)
+
+    @cached_property
+    def beta(self) -> Dict[str, List[int]]:
+        return self.fn.resolve_order()
+
+    @cached_property
+    def depth(self) -> int:
+        return self.fn.max_depth()
+
+    def schedule_map(self, comp) -> Map:
+        """``comp``'s domain -> full interleaved time vector."""
+        m = self._sched.get(comp.name)
+        if m is None:
+            m = full_schedule_map(comp, self.beta[comp.name], self.depth)
+            self._sched[comp.name] = m
+            self._sched_rev[comp.name] = m.reverse()
+        return m
+
+    def relation(self, dep: Dependence) -> Map:
+        """``dep`` as a relation between full time vectors."""
+        rel = self._rels.get(id(dep))
+        if rel is None:
+            self.schedule_map(dep.source)
+            rel = (self._sched_rev[dep.source.name]
+                   .apply_range(dep.relation)
+                   .apply_range(self.schedule_map(dep.sink)))
+            self._rels[id(dep)] = rel
+        return rel
+
+    def check_legality(self) -> int:
+        """Raise IllegalScheduleError if the schedule reorders any
+        dependence (paper Section II-c / V); returns the number of
+        dependences checked.
+
+        Computations nested by ``compute_at`` execute *redundantly* (the
+        overlapped tiling of Section III-C): every copy recomputes the
+        same value, so the write-after-read hazards between their copies
+        and their consumers are benign and are not checked (memory-based
+        analysis cannot distinguish a benign recompute from a real
+        overwrite).
+        """
+        deps = [d for d in self.deps
+                if d.source.anchor is None and d.sink.anchor is None]
+        for dep in deps:
+            if _time_violation(self.relation(dep),
+                               self.beta[dep.source.name],
+                               self.beta[dep.sink.name]):
+                raise IllegalScheduleError(
+                    f"schedule violates {dep.kind} dependence "
+                    f"{dep.source.name} -> {dep.sink.name} on buffer "
+                    f"{dep.buffer.name}")
+        self._proven = frozenset(id(d) for d in deps)
+        return len(deps)
+
+    def _carries(self, dep: Dependence, level: int) -> bool:
+        """Whether ``dep`` has a pair equal on every time position
+        before dynamic dim ``level`` and different at it (position
+        ``2*level+1`` of the interleaved vector).  β entries that differ
+        at or before ``level`` order every pair statically, so no pair
+        can share the prefix."""
+        beta_src = self.beta[dep.source.name]
+        beta_snk = self.beta[dep.sink.name]
+        if beta_src[:level + 1] != beta_snk[:level + 1]:
+            return False
+        pos = 2 * level + 1
+        diff = LinExpr.dim(OUT, pos) - LinExpr.dim(IN, pos)
+        stricts = [Constraint.ge(diff - 1)]
+        if id(dep) not in self._proven:
+            stricts.append(Constraint.ge(-diff - 1))
+        prefix = [Constraint.eq(LinExpr.dim(OUT, j) - LinExpr.dim(IN, j))
+                  for j in range(pos)]
+        return any(not bm.add_constraints(prefix + [strict]).is_empty()
+                   for bm in self.relation(dep).pieces
+                   for strict in stricts)
+
+    def carried(self, comp, level: int) -> List[Dependence]:
+        """Dependences of ``comp`` carried by its loop ``level``."""
+        return [dep for dep in self.deps
+                if (dep.source is comp or dep.sink is comp)
+                and self._carries(dep, level)]
+
+    def check_races(self, kinds: Sequence[str] = RACE_CHECKED_TAGS) -> int:
+        """The race detector: raise IllegalScheduleError if any loop
+        level tagged with one of ``kinds`` carries a dependence; returns
+        the number of tagged levels checked."""
+        tagged = []
+        for comp in self.fn.active_computations():
+            if isinstance(comp, Operation):
+                continue
+            for level, tag in sorted(comp.tags.items()):
+                if tag.kind in kinds and level < len(comp.time_names):
+                    tagged.append((comp, level, tag))
+        for comp, level, tag in tagged:
+            carried = self.carried(comp, level)
+            if carried:
+                dep = carried[0]
+                raise IllegalScheduleError(
+                    f"cannot execute loop {comp.time_names[level]!r} "
+                    f"(level {level}) of {comp.name!r} as {tag.kind}: it "
+                    f"carries a {dep.kind} dependence "
+                    f"{dep.source.name} -> {dep.sink.name} on buffer "
+                    f"{dep.buffer.name} (a data race on concurrent "
+                    f"iterations)")
+        return len(tagged)
+
+
+def check_schedule_legality(fn) -> int:
+    """Raise IllegalScheduleError if the current schedule reorders any
+    dependence; returns the number of dependences checked (see
+    :meth:`DependenceAnalysis.check_legality`)."""
+    return DependenceAnalysis(fn).check_legality()
+
+
+def carried_at_level(fn, comp, level: int) -> List[Dependence]:
+    """Dependences carried by loop ``level`` of ``comp`` (same values of
+    all outer dims, different at ``level``).  A loop can be parallelized,
+    vectorized or distributed only if this is empty (paper Table II)."""
+    return DependenceAnalysis(fn).carried(comp, level)
 
 
 def check_parallel_legality(fn, kinds: Sequence[str] = RACE_CHECKED_TAGS
@@ -414,33 +486,6 @@ def check_parallel_legality(fn, kinds: Sequence[str] = RACE_CHECKED_TAGS
     can be parallelized only if it does not carry any dependence").
     Raises :class:`IllegalScheduleError` naming the computation, the
     loop level, and the violating dependence; returns the number of
-    tagged levels checked.  Built on :func:`carried_at_level` with the
-    dependence analysis shared across all tagged levels.
+    tagged levels checked.
     """
-    tagged = []
-    for comp in fn.active_computations():
-        if isinstance(comp, Operation):
-            continue
-        for level, tag in sorted(comp.tags.items()):
-            if tag.kind in kinds and level < len(comp.time_names):
-                tagged.append((comp, level, tag))
-    if not tagged:
-        return 0
-    deps = compute_dependences(fn)
-    beta = fn.resolve_order()
-    depth = fn.max_depth()
-    sched: Dict[str, Map] = {}
-    rels: Dict[int, Map] = {}
-    for comp, level, tag in tagged:
-        carried = carried_at_level(fn, comp, level, deps=deps, beta=beta,
-                                   depth=depth, sched=sched, rels=rels)
-        if carried:
-            dep = carried[0]
-            raise IllegalScheduleError(
-                f"cannot execute loop {comp.time_names[level]!r} "
-                f"(level {level}) of {comp.name!r} as {tag.kind}: it "
-                f"carries a {dep.kind} dependence "
-                f"{dep.source.name} -> {dep.sink.name} on buffer "
-                f"{dep.buffer.name} (a data race on concurrent "
-                f"iterations)")
-    return len(tagged)
+    return DependenceAnalysis(fn).check_races(kinds)

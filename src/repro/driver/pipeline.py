@@ -330,11 +330,17 @@ class CompilePipeline:
 
     def _lower_and_emit_inner(self, ctx: CompileContext) -> None:
         fn, report, options = ctx.fn, ctx.report, ctx.options
+        # One dependence analysis serves both the legality and the race
+        # check: the schedule does not change between the two stages.
+        race_kinds = self._race_check_kinds(ctx)
+        analysis = None
+        if options["check_legality"] or race_kinds is not None:
+            from repro.core.deps import DependenceAnalysis
+            analysis = DependenceAnalysis(fn)
         if options["check_legality"]:
-            from repro.core.deps import check_schedule_legality
             enter_stage("legality")
             with report.timed("legality"):
-                report.deps_checked = check_schedule_legality(fn)
+                report.deps_checked = analysis.check_legality()
 
         from repro.codegen.isl_to_ast import build_ast, collect_items
         with report.timed("beta-resolution"):
@@ -344,13 +350,10 @@ class CompilePipeline:
         with report.timed("ast"):
             ctx.ast = build_ast(ctx.items)
 
-        race_kinds = self._race_check_kinds(ctx)
         if race_kinds is not None:
-            from repro.core.deps import check_parallel_legality
             enter_stage("race-check")
             with report.timed("race-check"):
-                report.races_checked = check_parallel_legality(
-                    fn, kinds=race_kinds)
+                report.races_checked = analysis.check_races(race_kinds)
 
         enter_stage("emit")
         with report.timed("emit"):

@@ -131,3 +131,66 @@ def test_forward_shift_fusion_always_illegal(shift):
     b.after(a, "iw")
     with pytest.raises(IllegalScheduleError):
         f.check_legality()
+
+
+def build_grid(shift1, shift2):
+    """The 2-D chain: a(i, j) = in(i, j); b(i, j) = a(i + shift1, j +
+    shift2); c(i, j) = b(i, j) + a(i, j - shift2), padded so every
+    shifted read stays in bounds."""
+    pad, n = 4, 12
+    size = n + 2 * pad
+    f = Function("f")
+    with f:
+        inp = Input("inp", [Var("x", 0, size), Var("y", 0, size)])
+        ia, ja = Var("ia", 0, size), Var("ja", 0, size)
+        a = Computation("a", [ia, ja], inp(ia, ja) * 2.0)
+        ib, jb = Var("ib", pad, size - pad), Var("jb", pad, size - pad)
+        b = Computation("b", [ib, jb], None)
+        b.set_expression(a(ib + shift1, jb + shift2) + 1.0)
+        ic, jc = Var("ic", pad, size - pad), Var("jc", pad, size - pad)
+        c = Computation("c", [ic, jc], None)
+        c.set_expression(b(ic, jc) * 3.0 + a(ic, jc - shift2))
+    return f, a, b, c
+
+
+@given(st.integers(-2, 2), st.integers(-2, 2),
+       st.sampled_from([None, -1, 0, 1]), st.sampled_from([None, 0, 1]),
+       st.sampled_from([False, False, False, True]), st.integers(-2, 2),
+       st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 1)),
+                max_size=2),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_shared_analysis_matches_per_level_reference(
+        shift1, shift2, fuse_ba, fuse_cb, reverse, loop_shift, parallel,
+        check_legality):
+    """Random shifts, fusion levels, reversal and ``parallelize`` at
+    random levels: the shared dependence analysis gives the per-level
+    reference's legality and race verdicts and messages, with the
+    legality check on (the race check then tests one direction of each
+    proven dependence) and off (both directions)."""
+    from repro.core.deps import DependenceAnalysis
+    from tests import legality_reference as ref
+
+    f, a, b, c = build_grid(shift1, shift2)
+    comps = {"a": a, "b": b, "c": c}
+    if fuse_ba is not None:
+        b.after(a, "root" if fuse_ba < 0 else ["ia", "ja"][fuse_ba])
+    if fuse_cb is not None:
+        c.after(b, ["ib", "jb"][fuse_cb])
+    if reverse:
+        a.after(c)
+    if loop_shift:
+        b.shift("ib", loop_shift)
+    for name, level in parallel:
+        comps[name].parallelize(comps[name].time_names[level])
+
+    analysis = DependenceAnalysis(f)
+    if check_legality:
+        assert ref.verdict(analysis.check_legality) == \
+            ref.verdict(ref.check_schedule_legality, f)
+    assert ref.verdict(analysis.check_races) == \
+        ref.verdict(ref.check_parallel_legality, f)
+    for comp in comps.values():
+        for level in range(len(comp.time_names)):
+            assert [repr(d) for d in analysis.carried(comp, level)] == \
+                [repr(d) for d in ref.carried_at_level(f, comp, level)]
