@@ -201,8 +201,8 @@ class TestCompileDriverAblation:
             "cold compile (ms)": round(prof["cold_seconds"] * 1e3, 2),
             "warm compile (ms)": round(prof["warm_seconds"] * 1e3, 2),
             "speedup": round(prof["speedup"], 1),
-            "cache hits": prof["cache"]["hits"],
-            "cache misses": prof["cache"]["misses"],
+            "cache hits": prof["cache"].hits,
+            "cache misses": prof["cache"].misses,
         }
         rows.update(stage_rows(prof["cold_report"], prefix="cold "))
         print_table("ablation: staged compile driver (sgemm cpu)", rows)

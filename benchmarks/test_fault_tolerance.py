@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends.parallel import _get_pool
+from repro.backends.parallel import get_pool
 from repro.driver import kernel_registry
 from repro.faults import FaultPlan, injected, uninstall
 from repro.kernels.linalg import build_sgemm
@@ -25,7 +25,7 @@ from conftest import print_table
 
 # A 2-worker pool crashes and recovers the same way on a single-core
 # host, so this gate runs everywhere a pool can be created at all.
-HAVE_POOL = _get_pool(2) is not None
+HAVE_POOL = get_pool(2) is not None
 
 GATE_PARAMS = {"N": 128, "M": 128, "K": 128}
 CRASH_RUNS = 3

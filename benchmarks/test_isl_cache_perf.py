@@ -49,10 +49,12 @@ class TestIslHotPathPerf:
         isl_cache_clear()
         before = isl_cache_stats()
         kernel, optimized = _cold_compile(_fresh_sgemm())
-        after = kernel.report.isl_cache_stats
-        stats = {k: after[k] - before.get(k, 0)
-                 for k in ("empty_hits", "empty_misses",
-                           "compose_hits", "compose_misses")}
+        after = kernel.report.caches
+        hits, misses = {}, {}
+        for memo in ("empty", "compose"):
+            tier = f"isl.{memo}"
+            hits[memo] = after[tier].hits - before.tier(tier).hits
+            misses[memo] = after[tier].misses - before.tier(tier).misses
         for __ in range(2):
             isl_cache_clear()
             _, t = _cold_compile(_fresh_sgemm())
@@ -70,14 +72,14 @@ class TestIslHotPathPerf:
             "legacy compile (ms)": round(legacy * 1e3, 2),
             "optimized compile (ms)": round(optimized * 1e3, 2),
             "speedup": round(speedup, 1),
-            "empty memo": f"{stats['empty_hits']} hits / "
-                          f"{stats['empty_misses']} misses",
-            "compose memo": f"{stats['compose_hits']} hits / "
-                            f"{stats['compose_misses']} misses",
+            "empty memo": f"{hits['empty']} hits / "
+                          f"{misses['empty']} misses",
+            "compose memo": f"{hits['compose']} hits / "
+                            f"{misses['compose']} misses",
         })
         # The memo must have actually been exercised, not just fast.
-        assert stats["empty_hits"] > 0
-        assert stats["empty_misses"] > 0
+        assert hits["empty"] > 0
+        assert misses["empty"] > 0
         assert speedup >= 3.0, (
             f"optimized legality compile only {speedup:.1f}x faster "
             "than the legacy algorithm")
@@ -88,7 +90,7 @@ class TestIslHotPathPerf:
         _cold_compile(_fresh_sgemm())
         assert metrics.counter("isl.empty_cache.misses").value > 0
         assert metrics.counter("isl.empty_cache.hits").value > 0
-        assert isl_cache_stats()["empty_size"] > 0
+        assert isl_cache_stats().tier("isl.empty").size > 0
 
     def _emitted_source(self, mode: str) -> str:
         """Compile a fresh sgemm in the given mode and return the

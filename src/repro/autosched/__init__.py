@@ -16,7 +16,7 @@ from .api import (AutoScheduleResult, Strategy, UnknownStrategyError,
                   registered_strategies)
 from .oracle import CostOracle, MeasuredOracle, ModelOracle
 from .plan import PLAN_FORMAT_VERSION, SchedulePlan, SchedulePlanError
-from .pluto import AutoScheduleReport, build_pluto_plan, pluto_schedule
+from .pluto import AutoScheduleReport, build_pluto_plan
 from .search import (SearchReport, beam_search, enumerate_actions,
                      evolutionary_search)
 
@@ -46,7 +46,6 @@ __all__ = [
     "enumerate_actions",
     "evolutionary_search",
     "get_strategy",
-    "pluto_schedule",
     "register_action",
     "register_strategy",
     "registered_strategies",

@@ -170,12 +170,6 @@ class SchedulePlan:
 
     # -- sugar -------------------------------------------------------------
 
-    def describe(self) -> str:
-        """One action per line, human-readable."""
-        if not self.actions:
-            return "(empty plan)"
-        return "\n".join(f"{i}. {a!r}" for i, a in enumerate(self.actions))
-
     def __len__(self) -> int:
         return len(self.actions)
 

@@ -25,13 +25,11 @@ each probe is a ``push`` and each backtrack a snapshot-restoring
 ``pop``, which fixes the old hand-rolled undo (re-calling
 ``interchange`` to reverse itself left ``fn._beta``/dependence state
 stale when the second interchange raised).  Use it through
-``autoschedule(fn, strategy="pluto")``; the legacy in-place
-:func:`pluto_schedule` survives as a deprecation shim until 2.0.
+``autoschedule(fn, strategy="pluto")``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -172,23 +170,3 @@ class PlutoStrategy(Strategy):
             result.best_cost = oracle.score(fn, plan)
         return result
 
-
-def pluto_schedule(fn, tile_size: int = 32,
-                   fuse: bool = True) -> AutoScheduleReport:
-    """Deprecated: apply the greedy automatic schedule to ``fn`` in
-    place and return the legacy report.
-
-    .. deprecated:: 1.x
-       Use ``repro.autosched.autoschedule(fn, strategy="pluto")``, which
-       returns a reified, undoable
-       :class:`~repro.autosched.plan.SchedulePlan` instead of mutating
-       ``fn``.  This shim will be removed in 2.0.
-    """
-    warnings.warn(
-        "pluto_schedule() is deprecated and will be removed in 2.0; "
-        "use repro.autosched.autoschedule(fn, strategy='pluto') and "
-        "apply (or compile with) the returned plan",
-        DeprecationWarning, stacklevel=2)
-    plan, report = build_pluto_plan(fn, tile_size=tile_size, fuse=fuse)
-    plan.apply(fn)
-    return report

@@ -3,7 +3,7 @@ simulator.
 
 Each backend registers itself with the driver's backend registry
 (:mod:`repro.driver.registry`) as a ``Backend`` with ``emit``/``bind``
-stages; ``Function.compile(target=...)`` resolves targets through that
-registry.  The ``compile_*`` free functions remain as deprecated shims
-over the staged pipeline.
+stages.  ``Function.compile(target=...)`` (:func:`repro.driver.
+compile_function`) is the one compile entry point; it resolves targets
+through that registry.
 """

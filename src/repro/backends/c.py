@@ -399,19 +399,3 @@ class CBackend(Backend):
                                       ctx.opt("extra_flags", ()))
         return NativeKernel(ctx.fn, ctx.source, so_path,
                             collect_buffers(ctx.fn))
-
-
-def compile_c(fn: Function, check_legality: bool = False,
-              verbose: bool = False,
-              extra_flags: Sequence[str] = (), **opts) -> NativeKernel:
-    """Deprecated shim: compile to native code through the staged driver
-    (prefer ``fn.compile("c")``)."""
-    import warnings
-    warnings.warn(
-        'compile_c() is deprecated and will be removed in release 2.0; '
-        'use Function.compile("c") / repro.driver.compile_function (or '
-        "compile_batch for many kernels)", DeprecationWarning, stacklevel=2)
-    from repro.driver import compile_function
-    return compile_function(fn, target="c", check_legality=check_legality,
-                            verbose=verbose, extra_flags=tuple(extra_flags),
-                            **opts)

@@ -1,12 +1,9 @@
 """Backend-neutral helpers shared by every compile target.
 
-Historically these lived in :mod:`repro.backends.cpu` and the C, GPU and
-distributed backends (and the compile driver) imported them from there —
-a cross-backend dependency on one concrete target.  They are target
-independent: argument-kind inference and buffer collection read only
-Layer I/III information, and Python-source binding is shared by every
-exec-based backend.  ``repro.backends.cpu`` re-exports them for
-backwards compatibility.
+They are target independent: argument-kind inference and buffer
+collection read only Layer I/III information, and Python-source binding
+is shared by every exec-based backend.  Every backend imports them from
+here, never through another backend.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ remain available for the paper-scale figures.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -25,8 +24,6 @@ from repro.core.errors import ExecutionError
 from repro.core.function import Function
 from repro.driver.registry import Backend, register_backend
 
-# Backend-neutral helpers moved to repro.backends.common; re-exported
-# here for backwards compatibility with pre-existing imports.
 from .common import (bind_python_kernel, collect_buffers,
                      infer_argument_kinds)
 from .evalexpr import eval_const_expr
@@ -184,11 +181,6 @@ def emit_source(fn: Function, emitter_cls=Emitter, ast=None,
     return prelude + "\n" + bodies + emitter.buf.getvalue()
 
 
-def _bind_python_kernel(fn: Function, source: str, tag: str):
-    """exec() the emitted source and return its kernel entry point."""
-    return bind_python_kernel(fn, source, tag)
-
-
 @register_backend
 class CpuBackend(Backend):
     """The multicore CPU target: Python/NumPy emission + exec binding."""
@@ -205,7 +197,7 @@ class CpuBackend(Backend):
             taskgraph=ctx.opt("execution", "forkjoin") == "taskgraph")
 
     def bind(self, ctx) -> CompiledKernel:
-        pyfunc = _bind_python_kernel(ctx.fn, ctx.source, "tiramisu")
+        pyfunc = bind_python_kernel(ctx.fn, ctx.source, "tiramisu")
         kernel = CompiledKernel(ctx.fn, ctx.source, pyfunc,
                                 collect_buffers(ctx.fn),
                                 ctx.fn.param_names)
@@ -236,16 +228,3 @@ class CpuBackend(Backend):
                     on_worker_failure=ctx.opt("on_worker_failure",
                                               "fallback"))
         return kernel
-
-
-def compile_cpu(fn: Function, check_legality: bool = False,
-                verbose: bool = False, **opts) -> CompiledKernel:
-    """Deprecated shim: compile for the CPU target through the staged
-    driver (prefer ``fn.compile("cpu")``)."""
-    warnings.warn(
-        'compile_cpu() is deprecated and will be removed in release 2.0; '
-        'use Function.compile("cpu") / repro.driver.compile_function (or '
-        "compile_batch for many kernels)", DeprecationWarning, stacklevel=2)
-    from repro.driver import compile_function
-    return compile_function(fn, target="cpu", check_legality=check_legality,
-                            verbose=verbose, **opts)

@@ -45,8 +45,8 @@ from repro.core.function import Function
 from repro.driver.registry import Backend, register_backend
 
 from .common import (DEFAULT_JOIN_TIMEOUT, DEFAULT_RECV_TIMEOUT,
-                     collect_buffers, infer_argument_kinds, resolve_timeout)
-from .cpu import _bind_python_kernel, emit_source
+                     bind_python_kernel, collect_buffers, resolve_timeout)
+from .cpu import emit_source
 
 #: How often a blocked receive wakes to check for peer failure or a
 #: wait-for cycle.  Message arrival itself is never delayed by this —
@@ -400,7 +400,6 @@ class DistEmitter(Emitter):
 
     def emit_loop(self, loop) -> None:
         if loop.tag is not None and loop.tag.kind == "distributed":
-            from .cpu import ArgKind  # local import to avoid cycles
             from repro.codegen.pyemit import bounds_group_py
             lo = bounds_group_py(loop.lowers, self.params, True)
             hi = bounds_group_py(loop.uppers, self.params, False)
@@ -561,24 +560,8 @@ class DistributedBackend(Backend):
         return emit_source(ctx.fn, emitter_cls=DistEmitter, ast=ctx.ast)
 
     def bind(self, ctx) -> DistributedKernel:
-        pyfunc = _bind_python_kernel(ctx.fn, ctx.source, "tiramisu-dist")
+        pyfunc = bind_python_kernel(ctx.fn, ctx.source, "tiramisu-dist")
         return DistributedKernel(ctx.fn, ctx.source, pyfunc,
                                  collect_buffers(ctx.fn),
                                  ctx.fn.param_names,
                                  timeout=ctx.opt("timeout"))
-
-
-def compile_distributed(fn: Function, check_legality: bool = False,
-                        verbose: bool = False, **opts) -> DistributedKernel:
-    """Deprecated shim: compile for the simulated distributed-memory
-    target through the staged driver (prefer ``fn.compile("distributed")``)."""
-    import warnings
-    warnings.warn(
-        'compile_distributed() is deprecated and will be removed in '
-        'release 2.0; use Function.compile("distributed") / '
-        "repro.driver.compile_function (or compile_batch for many "
-        "kernels)", DeprecationWarning, stacklevel=2)
-    from repro.driver import compile_function
-    return compile_function(fn, target="distributed",
-                            check_legality=check_legality, verbose=verbose,
-                            **opts)

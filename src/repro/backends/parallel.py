@@ -236,12 +236,6 @@ def discard_pool(workers: int) -> None:
         pass
 
 
-# Pre-generalization names (the runtime below and existing callers used
-# the underscore forms).
-_get_pool = get_pool
-_discard_pool = discard_pool
-
-
 def shutdown_pools() -> None:
     """Tear down every cached worker pool (also runs atexit)."""
     for pool in _POOLS.values():
@@ -305,7 +299,7 @@ class ParallelRuntime:
 
     def enabled(self) -> bool:
         return self.num_threads >= 2 \
-            and _get_pool(self.num_threads) is not None
+            and get_pool(self.num_threads) is not None
 
     def offload(self, trip: int) -> bool:
         """Should this region's chunks go to the pool?  ``False`` makes
@@ -428,7 +422,7 @@ class ParallelRuntime:
                 emit_event("parallel.worker_failure", EVT_PARALLEL,
                            region=region, attempt=attempt,
                            error=str(exc))
-                _discard_pool(self.num_threads)
+                discard_pool(self.num_threads)
                 self.stats.pool_restarts += 1
                 metrics.counter("parallel.pool_restarts").inc()
                 emit_event("parallel.pool_restart", EVT_PARALLEL,
@@ -446,7 +440,7 @@ class ParallelRuntime:
                                backoff_seconds=delay)
                     time.sleep(delay)
                     delay *= 2
-                    if _get_pool(self.num_threads) is None:
+                    if get_pool(self.num_threads) is None:
                         break  # the pool cannot come back on this host
         if self.on_worker_failure == "fallback":
             self.stats.sequential_fallbacks += 1
@@ -468,7 +462,7 @@ class ParallelRuntime:
         :class:`ExecutionError` for exceptions the body raised."""
         from repro.faults import get_plan
         from repro.obs.metrics import metrics
-        pool = _get_pool(self.num_threads)
+        pool = get_pool(self.num_threads)
         if pool is None:
             raise WorkerFailureError(
                 f"parallel region {body.__name__} has no active pool")

@@ -159,11 +159,6 @@ class Computation:
         self.function.order_before(self, other, l)
         return self
 
-    def then(self, other: "Computation", level=None) -> "Computation":
-        """Fluent ordering: self then other (returns ``other``)."""
-        other.after(self, level)
-        return other
-
     def inline(self) -> "Computation":
         """Inline this computation into all of its consumers."""
         self.inlined = True
@@ -427,9 +422,6 @@ class Computation:
             cons.append(Constraint.eq(LinExpr.dim(IN, k) - self.rev[nm]))
         bm = BasicMap(space, cons)
         return Map.from_basic(bm).intersect_range(self.instances)
-
-    def scheduled_domain(self) -> Set:
-        return self.instances
 
     def __repr__(self):
         return f"<Computation {self.name}[{', '.join(self.var_names)}]>"

@@ -65,10 +65,6 @@ def level_index(comp, level) -> int:
             f"(levels: {comp.time_names})") from None
 
 
-def _time_space(comp, names: Sequence[str]) -> Space:
-    return Space.set_space(tuple(names), comp.name, comp.function.param_names)
-
-
 def _shift_tags(tags: Dict[int, Tag], at: int, by: int) -> Dict[int, Tag]:
     return {(k + by if k >= at else k): v for k, v in tags.items()}
 

@@ -138,8 +138,3 @@ def separate(comp: Computation, level) -> Optional[Computation]:
     # so neither nest carries the other's bounds or guards.
     fn.order_after(clone, comp, -1)
     return clone
-
-
-def separate_cmd(self: Computation, level) -> Optional[Computation]:
-    """Method form attached to Computation as ``separate``."""
-    return separate(self, level)

@@ -56,9 +56,6 @@ class CompileCache:
         self.evictions = 0
         self.corruptions = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
@@ -143,8 +140,7 @@ class CompileCache:
 
     def stats(self) -> CacheStats:
         """Point-in-time counters as a :class:`~repro.driver.stats.
-        CacheStats` (tier ``memory``); dict-style access keeps the
-        pre-unification keys working."""
+        CacheStats` (tier ``memory``)."""
         return CacheStats(tier="memory", hits=self.hits,
                           misses=self.misses, evictions=self.evictions,
                           corruptions=self.corruptions,

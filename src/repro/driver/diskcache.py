@@ -31,7 +31,7 @@ process points at:
 * **Observability** — ``compile_cache.disk.{hit,miss,evict,corrupt}``
   counters in :data:`repro.obs.metrics.metrics`, per-instance
   :class:`~repro.driver.stats.CacheStats` (tier ``disk``), and a
-  ``disk:`` line in ``CompileReport.format_table()``.
+  ``disk cache:`` line in ``CompileReport.format_table()``.
 
 The tier is **off by default**: it activates when ``TIRAMISU_CACHE_DIR``
 is set (or :func:`configure` is called), and the default compile path
@@ -360,20 +360,6 @@ class DiskCache:
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
-
-    def clear(self) -> None:
-        """Drop every artifact (quarantined corpses included) and reset
-        the instance counters."""
-        for name in os.listdir(self.root):
-            if name.endswith((_SUFFIX, _QUARANTINE_SUFFIX)):
-                try:
-                    (self.root / name).unlink()
-                except OSError:
-                    pass
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.corruptions = 0
 
     def stats(self) -> CacheStats:
         """Point-in-time counters (tier ``disk``); ``size`` is the

@@ -483,12 +483,13 @@ class CompilePipeline:
         # Point-in-time snapshots: later compiles must not mutate the
         # stats an already-issued report carries.  Every tier reports
         # through the shared CacheStats vocabulary (repro.driver.stats).
-        ctx.report.cache_stats = self.cache.stats()
-        from repro.isl.cache import stats as isl_cache_stats
-        ctx.report.isl_cache_stats = isl_cache_stats()
+        caches = ctx.report.caches
+        caches["memory"] = self.cache.stats()
         disk = self._disk_tier()
         if disk is not None:
-            ctx.report.disk_cache_stats = disk.stats()
+            caches["disk"] = disk.stats()
+        from repro.isl.cache import stats as isl_cache_stats
+        caches.update(isl_cache_stats().tiers)
         ctx.report.parallel_regions = getattr(kernel, "parallel_regions", 0)
         runtime = getattr(kernel, "runtime", None)
         if runtime is not None:

@@ -70,10 +70,6 @@ class Deadline:
         self._expires_at = time.monotonic() + self.budget
 
     @classmethod
-    def after(cls, seconds: float) -> "Deadline":
-        return cls(seconds)
-
-    @classmethod
     def from_timeout(cls, timeout) -> Optional["Deadline"]:
         """The request budget the ``timeout`` option implies: explicit
         option first, then ``TIRAMISU_TIMEOUT``, else no deadline."""

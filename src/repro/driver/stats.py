@@ -1,28 +1,20 @@
 """One stats vocabulary for every cache tier.
 
-Before this module the driver exposed three differently-shaped stats
-accessors: ``CompileCache.stats()`` (a plain dict), ``CompileReport.
-cache_stats`` (a copy of that dict) and ``CompileReport.isl_cache_stats``
-(a flat dict whose keys carried ad-hoc ``empty_``/``compose_`` prefixes).
-:class:`CacheStats` replaces all three shapes with one dataclass and a
-shared key vocabulary — ``hits`` / ``misses`` / ``evictions`` /
-``corruptions`` / ``size`` / ``maxsize`` — qualified by a *tier* name
-(``memory``, ``disk``, ``isl.empty``, ``isl.compose``).
-
-Backward compatibility (kept for one release): :class:`CacheStats` is a
-:class:`~collections.abc.Mapping`, so every existing dict-style read
-(``stats["hits"]``, ``stats.get("evictions", 0)``, ``dict(stats)``,
-equality against a plain dict) keeps working.  Grouped tiers
-(:class:`CacheStatsGroup`) additionally answer the legacy flat keys
-(``empty_hits``, ``compose_size``, ...) by splitting off the tier
-prefix.
+:class:`CacheStats` is the one shape every cache reports — the in-memory
+kernel registry (``CompileCache.stats()``), the disk tier
+(``DiskCache.stats()``) and the ISL memo caches (``isl_cache_stats()``)
+— with one key vocabulary, ``hits`` / ``misses`` / ``evictions`` /
+``corruptions`` / ``size`` / ``maxsize``, qualified by a *tier* name
+(``memory``, ``disk``, ``isl.empty``, ``isl.compose``).  Reads go
+through attributes, :meth:`CacheStats.as_dict` is the one serialised
+form and :meth:`CacheStats.format_line` the one rendering.
+:class:`CacheStatsGroup` holds several tiers (the two ISL memos).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 #: The shared counter vocabulary every tier reports (tier-specific
 #: extras — e.g. the disk tier's byte totals — ride in ``extra``).
@@ -31,8 +23,8 @@ STAT_KEYS = ("hits", "misses", "evictions", "corruptions", "size",
 
 
 @dataclass
-class CacheStats(Mapping):
-    """Point-in-time counters of one cache tier, dict-compatible."""
+class CacheStats:
+    """Point-in-time counters of one cache tier."""
 
     tier: str
     hits: int = 0
@@ -44,113 +36,39 @@ class CacheStats(Mapping):
     #: Tier-specific extras (e.g. ``bytes`` / ``max_bytes`` on disk).
     extra: Dict[str, float] = field(default_factory=dict)
 
-    # -- Mapping (the legacy dict-style surface) ------------------------
-
-    def _mapping(self) -> Dict[str, object]:
+    def as_dict(self) -> Dict[str, object]:
+        """Canonical key -> value copy (the shared vocabulary plus the
+        tier's extras; the tier name is the caller's key)."""
         out: Dict[str, object] = {key: getattr(self, key)
                                   for key in STAT_KEYS}
         out.update(self.extra)
         return out
 
-    def __getitem__(self, key: str):
-        if key in STAT_KEYS:
-            return getattr(self, key)
-        return self.extra[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._mapping())
-
-    def __len__(self) -> int:
-        return len(STAT_KEYS) + len(self.extra)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CacheStats):
-            return self.tier == other.tier \
-                and self._mapping() == other._mapping()
-        if isinstance(other, Mapping):
-            return self._mapping() == dict(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tier, tuple(sorted(self._mapping().items()))))
-
-    # -- the shared vocabulary ------------------------------------------
-
-    def as_dict(self) -> Dict[str, object]:
-        """Canonical (unprefixed) key -> value copy."""
-        return self._mapping()
-
-    def prefixed(self, prefix: Optional[str] = None,
-                 sep: str = "_") -> Dict[str, object]:
-        """Tier-qualified flat copy: ``{"disk_hits": ..., ...}``.  The
-        default prefix is the tier name's last path segment, which is
-        what reproduces the legacy isl keys (tier ``isl.empty`` ->
-        ``empty_hits``)."""
-        if prefix is None:
-            prefix = self.tier.rsplit(".", 1)[-1]
-        return {f"{prefix}{sep}{key}": value
-                for key, value in self._mapping().items()}
-
     def format_line(self) -> str:
         """One human-readable summary line for trace tables."""
-        cap = f"/{self.maxsize}" if self.maxsize is not None else ""
-        return (f"{self.hits} hits / {self.misses} misses / "
-                f"{self.evictions} evictions "
-                f"(size {self.size}{cap})")
+        line = (f"{self.hits} hits / {self.misses} misses / "
+                f"{self.evictions} evictions")
+        if self.corruptions:
+            line += f" / {self.corruptions} corrupt"
+        size = f"size {self.size}"
+        if self.maxsize is not None:
+            size += f"/{self.maxsize}"
+        if "bytes" in self.extra:
+            size += (f", {self.extra['bytes']}/"
+                     f"{self.extra.get('max_bytes', 0)} bytes")
+        return f"{line} ({size})"
 
 
-class CacheStatsGroup(Mapping):
-    """Several tiers behind one mapping.
-
-    Canonical reads go through :meth:`tier` (``group.tier("isl.empty")
-    .hits``) or iteration over :attr:`tiers`; the mapping surface
-    answers the *legacy flat keys* (``empty_hits``, ``compose_misses``,
-    ``empty_size``, ...) so pre-existing dict-style consumers keep
-    working for one release."""
-
-    #: Legacy flat-key suffix -> CacheStats attribute.
-    _SUFFIXES = {"hits": "hits", "misses": "misses", "size": "size",
-                 "evictions": "evictions", "corruptions": "corruptions",
-                 "maxsize": "maxsize"}
+class CacheStatsGroup:
+    """Several tiers together, read by name through :meth:`tier`
+    (``group.tier("isl.empty").hits``) or by iterating :attr:`tiers`."""
 
     def __init__(self, *stats: CacheStats):
         self.tiers: Dict[str, CacheStats] = {s.tier: s for s in stats}
 
     def tier(self, name: str) -> CacheStats:
-        """The named tier's canonical stats."""
+        """The named tier's stats."""
         return self.tiers[name]
-
-    def _flat(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for s in self.tiers.values():
-            prefix = s.tier.rsplit(".", 1)[-1]
-            for suffix in ("hits", "misses", "size"):
-                out[f"{prefix}_{suffix}"] = getattr(s, suffix)
-        return out
-
-    def __getitem__(self, key: str):
-        for suffix, attr in self._SUFFIXES.items():
-            tail = f"_{suffix}"
-            if key.endswith(tail):
-                prefix = key[:-len(tail)]
-                for s in self.tiers.values():
-                    if s.tier == prefix \
-                            or s.tier.rsplit(".", 1)[-1] == prefix:
-                        return getattr(s, attr)
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._flat())
-
-    def __len__(self) -> int:
-        return len(self._flat())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CacheStatsGroup):
-            return self.tiers == other.tiers
-        if isinstance(other, Mapping):
-            return self._flat() == dict(other)
-        return NotImplemented
 
     def __repr__(self):
         return f"CacheStatsGroup({', '.join(sorted(self.tiers))})"

@@ -18,6 +18,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .stats import CacheStats
+
 TRACE_ENV = "TIRAMISU_TRACE"
 
 _forced: Optional[bool] = None
@@ -88,35 +90,11 @@ class CompileReport:
     races_checked: Optional[int] = None
     parallel_regions: int = 0
     parallel_workers: Optional[int] = None
-    #: In-memory kernel-registry counters at finish time — a
-    #: :class:`~repro.driver.stats.CacheStats` (tier ``memory``) that
-    #: still answers the legacy dict-style reads.
-    cache_stats: Dict[str, int] = field(default_factory=dict)
-    #: Point-in-time counters of the process-wide ISL memo caches
-    #: (:mod:`repro.isl.cache`): emptiness and composition hits/misses
-    #: and current sizes.  Cumulative across compiles, like cache_stats.
-    #: A :class:`~repro.driver.stats.CacheStatsGroup` (tiers
-    #: ``isl.empty`` / ``isl.compose``) with the legacy flat keys.
-    isl_cache_stats: Dict[str, int] = field(default_factory=dict)
-    #: Disk-tier counters at finish time (tier ``disk``); empty when
-    #: the tier is inactive.
-    disk_cache_stats: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def caches(self) -> Dict[str, object]:
-        """Every cache tier this compile saw, by tier name, in the
-        unified :class:`~repro.driver.stats.CacheStats` vocabulary:
-        ``memory``, ``disk`` (when active), ``isl.empty`` and
-        ``isl.compose``."""
-        out: Dict[str, object] = {}
-        if self.cache_stats:
-            out["memory"] = self.cache_stats
-        if self.disk_cache_stats:
-            out["disk"] = self.disk_cache_stats
-        tiers = getattr(self.isl_cache_stats, "tiers", None)
-        if tiers:
-            out.update(tiers)
-        return out
+    #: Point-in-time counters of every cache tier this compile saw, by
+    #: tier name: ``memory``, ``disk`` (when active), ``isl.empty`` and
+    #: ``isl.compose``.  Snapshotted at finish time; the counters are
+    #: cumulative across compiles.
+    caches: Dict[str, CacheStats] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -159,9 +137,8 @@ class CompileReport:
             "races_checked": self.races_checked,
             "parallel_regions": self.parallel_regions,
             "parallel_workers": self.parallel_workers,
-            "cache_stats": dict(self.cache_stats),
-            "isl_cache_stats": dict(self.isl_cache_stats),
-            "disk_cache_stats": dict(self.disk_cache_stats),
+            "caches": {name: stats.as_dict()
+                       for name, stats in self.caches.items()},
         }
 
     def format_table(self) -> str:
@@ -193,31 +170,8 @@ class CompileReport:
             workers = self.parallel_workers or 1
             lines.append(f"  parallel: {self.parallel_regions} region(s) "
                          f"x {workers} worker(s)")
-        if self.cache_stats:
-            cs = self.cache_stats
-            lines.append(
-                f"  cache: {cs.get('hits', 0)} hits / "
-                f"{cs.get('misses', 0)} misses / "
-                f"{cs.get('evictions', 0)} evictions "
-                f"(size {cs.get('size', 0)}/{cs.get('maxsize', 0)})")
-        if self.disk_cache_stats:
-            ds = self.disk_cache_stats
-            lines.append(
-                f"  disk: {ds.get('hits', 0)} hits / "
-                f"{ds.get('misses', 0)} misses / "
-                f"{ds.get('evictions', 0)} evictions / "
-                f"{ds.get('corruptions', 0)} corrupt "
-                f"(size {ds.get('size', 0)}, "
-                f"{ds.get('bytes', 0)}/{ds.get('max_bytes', 0)} bytes)")
-        if self.isl_cache_stats:
-            ics = self.isl_cache_stats
-            lines.append(
-                f"  isl cache: empty {ics.get('empty_hits', 0)} hits / "
-                f"{ics.get('empty_misses', 0)} misses "
-                f"(size {ics.get('empty_size', 0)}), compose "
-                f"{ics.get('compose_hits', 0)} hits / "
-                f"{ics.get('compose_misses', 0)} misses "
-                f"(size {ics.get('compose_size', 0)})")
+        for name, stats in self.caches.items():
+            lines.append(f"  {name} cache: {stats.format_line()}")
         lines.append(f"  key: {self.fingerprint[:16]}")
         if self.compile_id:
             lines.append(f"  compile id: {self.compile_id}")

@@ -83,26 +83,6 @@ def heatmap_cpu() -> Dict[str, Dict[str, Optional[float]]]:
     return out
 
 
-def heatmap_cpu_measured(benches=("blur",), num_threads: int = None,
-                         repeats: int = 2):
-    """Measured multicore speedup for the image kernels whose CPU
-    schedule is a plain outer-loop ``parallelize`` (the modeled heatmap
-    above stays the paper-scale comparison).  Returns
-    ``{bench: ParallelMeasurement}``."""
-    from .parallel import measure_parallel_speedup
-
-    def outer_parallel(bundle):
-        for comp in bundle.computations.values():
-            comp.parallelize(comp.var_names[0])
-
-    out = {}
-    for bench in benches:
-        out[bench] = measure_parallel_speedup(
-            BUILDERS[bench], outer_parallel,
-            num_threads=num_threads, repeats=repeats)
-    return out
-
-
 def heatmap_gpu(include_transfers: bool = False
                 ) -> Dict[str, Dict[str, Optional[float]]]:
     """GPU heatmap.  By default kernel-only times are compared: the

@@ -39,13 +39,6 @@ class ParallelMeasurement:
             return float("inf")
         return self.sequential_seconds / self.parallel_seconds
 
-    def row(self) -> tuple:
-        return (self.benchmark, self.workers,
-                f"{self.sequential_seconds * 1e3:.1f} ms",
-                f"{self.parallel_seconds * 1e3:.1f} ms",
-                f"{self.speedup:.2f}x",
-                "bit-identical" if self.identical else "MISMATCH")
-
 
 def _time_kernel(kernel, inputs: Dict[str, np.ndarray],
                  params: Dict[str, int], repeats: int) -> tuple:
@@ -104,8 +97,8 @@ def measure_parallel_speedup(builder: Callable, schedule: Callable,
 
 
 def _parallel_schedules():
-    """(name, builder, schedule) triples for the measured sweep: the
-    Fig. 5/6 kernels with their outermost loop parallelized."""
+    """(name, builder, schedule) triples: the Fig. 5/6 kernels with
+    their outermost loop parallelized."""
     from repro.kernels.dnn import build_conv
     from repro.kernels.image import build_blur
     from repro.kernels.linalg import build_sgemm
@@ -129,24 +122,3 @@ def _parallel_schedules():
             ("blur", build_blur, sched_blur),
             ("conv", build_conv, sched_conv)]
 
-
-def measured_speedups(num_threads: Optional[int] = None,
-                      repeats: int = 2,
-                      ) -> Dict[str, ParallelMeasurement]:
-    """Measured parallel speedups for the Fig. 5/6 CPU kernels, keyed
-    by benchmark name (complements the modeled ``figure5()`` bars)."""
-    out: Dict[str, ParallelMeasurement] = {}
-    for name, builder, schedule in _parallel_schedules():
-        out[name] = measure_parallel_speedup(
-            builder, schedule, num_threads=num_threads, repeats=repeats)
-    return out
-
-
-def render_measurements(data: Dict[str, ParallelMeasurement]) -> str:
-    lines = ["benchmark        workers   sequential     parallel   "
-             "speedup   output"]
-    for name, m in data.items():
-        b, w, s, p, x, ident = m.row()
-        lines.append(f"{b:<16} {w:>7}   {s:>10}   {p:>10}   {x:>7}   "
-                     f"{ident}")
-    return "\n".join(lines)

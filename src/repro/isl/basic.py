@@ -89,9 +89,6 @@ class BasicMap:
     def add_constraints(self, cs: Iterable[Constraint]) -> "BasicMap":
         return self.copy_with(constraints=self.constraints + tuple(cs))
 
-    def involves(self, kind: str, idx: int) -> bool:
-        return any(c.involves((kind, idx)) for c in self.constraints)
-
     # -- parameter alignment ----------------------------------------------
 
     def align_params(self, params: Tuple[str, ...]) -> "BasicMap":
@@ -136,10 +133,6 @@ class BasicMap:
     def lower_bound(self, kind: str, idx: int, value: int) -> "BasicMap":
         return self.add_constraint(
             Constraint.ge(LinExpr.dim(kind, idx) - LinExpr.constant(value)))
-
-    def upper_bound(self, kind: str, idx: int, value: int) -> "BasicMap":
-        return self.add_constraint(
-            Constraint.ge(LinExpr.constant(value) - LinExpr.dim(kind, idx)))
 
     def equate(self, kind1: str, idx1: int, kind2: str, idx2: int) -> "BasicMap":
         c = Constraint.eq(LinExpr.dim(kind1, idx1) - LinExpr.dim(kind2, idx2))
@@ -333,10 +326,6 @@ class BasicMap:
     def is_empty(self) -> bool:
         from .cache import is_empty_cached
         return is_empty_cached(self)
-
-    def is_rational_empty(self) -> bool:
-        from .fourier_motzkin import rational_feasible
-        return not rational_feasible(self.constraints)
 
     def contains_point(self, in_vals: Sequence[int],
                        out_vals: Sequence[int] = (),

@@ -31,9 +31,8 @@ an ``isl:is_empty`` span when the tracer is enabled (see
 docs/observability.md).
 
 Knobs: set ``TIRAMISU_ISL_CACHE=0`` to disable memoization process-wide,
-or use :func:`set_enabled` / the :func:`cache_disabled` context manager
-programmatically (the property tests compare cached and uncached runs
-this way).
+or use the :func:`cache_disabled` context manager programmatically (the
+property tests compare cached and uncached runs this way).
 """
 
 from __future__ import annotations
@@ -54,13 +53,6 @@ _forced: Optional[bool] = None
 
 _empty_memo: "OrderedDict[Tuple, bool]" = OrderedDict()
 _compose_memo: "OrderedDict[Tuple, object]" = OrderedDict()
-
-
-def set_enabled(enabled: Optional[bool]) -> None:
-    """Force the memo caches on/off; ``None`` defers to the
-    ``TIRAMISU_ISL_CACHE`` environment variable again."""
-    global _forced
-    _forced = enabled
 
 
 def enabled() -> bool:
@@ -108,8 +100,7 @@ def stats():
 
     Returns a :class:`~repro.driver.stats.CacheStatsGroup` with tiers
     ``isl.empty`` and ``isl.compose`` in the driver-wide CacheStats
-    vocabulary; the legacy flat keys (``empty_hits``, ``compose_size``,
-    ...) keep answering through its mapping surface."""
+    vocabulary (``stats().tier("isl.empty").hits``)."""
     from repro.driver.stats import CacheStats, CacheStatsGroup
     m = _metrics()
     return CacheStatsGroup(

@@ -70,9 +70,6 @@ class Constraint:
 
     # -- queries -----------------------------------------------------------
 
-    def coeff(self, dim: Dim):
-        return self.expr.coeff(dim)
-
     def involves(self, dim: Dim) -> bool:
         return self.expr.involves(dim)
 

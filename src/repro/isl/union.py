@@ -54,10 +54,6 @@ class Map:
     def empty(cls, space: Space) -> "Map":
         return cls([], space)
 
-    @classmethod
-    def universe(cls, space: Space) -> "Map":
-        return cls([cls.piece_type.universe(space)])
-
     # -- plumbing --------------------------------------------------------
 
     def _wrap(self, pieces: Sequence[BasicMap], space: Optional[Space] = None
@@ -153,14 +149,6 @@ class Map:
                   for a in self.pieces for b in sset.pieces]
         return self._wrap(pieces, self.space)
 
-    def to_set(self) -> "Set":
-        pieces = [p.to_set() for p in self.pieces]
-        if pieces:
-            return Set(pieces)
-        n = len(self.space.in_dims) + len(self.space.out_dims)
-        return Set([], Space.set_space(tuple(f"x{k}" for k in range(n)),
-                                       None, self.space.params))
-
     def coalesce(self) -> "Map":
         """Drop pieces contained in other pieces (cheap form)."""
         kept: List[BasicMap] = []
@@ -178,9 +166,6 @@ class Map:
     def __repr__(self) -> str:
         from .printer import union_to_str
         return union_to_str(self.pieces)
-
-    def __iter__(self):
-        return iter(self.pieces)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality, consistent with ``BasicMap.__eq__``: same

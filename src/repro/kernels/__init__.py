@@ -13,7 +13,7 @@ from .image import (build_blur, build_conv2d, build_cvtcolor,
                     schedule_blur_cpu, schedule_nb_fused)
 from .linalg import (build_baryon, build_sgemm, schedule_baryon_cpu,
                      schedule_sgemm_cpu, schedule_sgemm_pluto_like)
-from .stencil import build_heat, schedule_heat_cpu
+from .stencil import build_heat
 
 __all__ = [
     "KernelBundle",
@@ -26,5 +26,5 @@ __all__ = [
     "schedule_blur_cpu", "schedule_nb_fused",
     "build_baryon", "build_sgemm", "schedule_baryon_cpu",
     "schedule_sgemm_cpu", "schedule_sgemm_pluto_like",
-    "build_heat", "schedule_heat_cpu",
+    "build_heat",
 ]

@@ -51,8 +51,3 @@ def build_heat() -> KernelBundle:
         name="heat", function=f, computations={"step": step},
         make_inputs=make_inputs, reference=reference,
         paper_params=dict(PAPER_HEAT), test_params=dict(TEST_HEAT))
-
-
-def schedule_heat_cpu(bundle: KernelBundle) -> None:
-    """Hand schedule: vectorize the (dependence-free) space loop."""
-    bundle.computations["step"].vectorize("i", 8)

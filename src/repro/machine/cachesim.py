@@ -71,10 +71,6 @@ class TraceStats:
     def l1_miss_ratio(self) -> float:
         return self.l1.miss_ratio
 
-    @property
-    def l2_miss_ratio(self) -> float:
-        return self.l2.miss_ratio
-
     def memory_cycles(self, l1_cycles=4.0, l2_cycles=12.0,
                       mem_cycles=200.0) -> float:
         """Aggregate latency of the trace under the simulated hierarchy."""

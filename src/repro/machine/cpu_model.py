@@ -48,13 +48,6 @@ class CostReport:
     # calibration (repro.evaluation.calibration).
     per_computation_seconds: Dict[str, float] = field(default_factory=dict)
 
-    def merge(self, other: "CostReport") -> None:
-        self.seconds += other.seconds
-        self.flops += other.flops
-        self.mem_bytes += other.mem_bytes
-        for k, v in other.per_computation.items():
-            self.per_computation[k] = self.per_computation.get(k, 0.0) + v
-
 
 @dataclass
 class _LoopCtx:

@@ -116,10 +116,6 @@ class RunReport:
     def total_iterations(self) -> int:
         return sum(r.iterations for r in self.computations.values())
 
-    @property
-    def total_bytes_written(self) -> int:
-        return sum(r.bytes_written for r in self.computations.values())
-
     def comp(self, name: str) -> CompRecord:
         return self.computations[name]
 

@@ -40,8 +40,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.parallel import (ParallelRuntime, _discard_pool,
-                                     _get_pool, _load_namespace)
+from repro.backends.parallel import (ParallelRuntime, _load_namespace,
+                                     discard_pool, get_pool)
 from repro.core.errors import ExecutionError, WorkerFailureError
 from repro.obs.events import EVT_PARALLEL
 from repro.obs.events import emit as emit_event
@@ -209,7 +209,7 @@ class TaskGraphRuntime(ParallelRuntime):
                 failure = exc
                 breaker.record_failure()
                 metrics.counter("parallel.worker_failures").inc()
-                _discard_pool(self.num_threads)
+                discard_pool(self.num_threads)
                 self.stats.pool_restarts += 1
                 metrics.counter("parallel.pool_restarts").inc()
                 if snapshot is not None:
@@ -227,7 +227,7 @@ class TaskGraphRuntime(ParallelRuntime):
                                       reason=str(exc))
                     time.sleep(delay)
                     delay *= 2
-                    if _get_pool(self.num_threads) is None:
+                    if get_pool(self.num_threads) is None:
                         break  # the pool cannot come back on this host
         if self.on_worker_failure == "fallback":
             if snapshot is not None:
@@ -261,7 +261,7 @@ class TaskGraphRuntime(ParallelRuntime):
         from repro.driver.resilience import current_deadline
         from repro.faults import get_plan
         from repro.obs.metrics import metrics
-        pool = _get_pool(self.num_threads)
+        pool = get_pool(self.num_threads)
         if pool is None:
             raise WorkerFailureError("task graph has no active pool")
         plan = get_plan()

@@ -7,9 +7,10 @@ import pytest
 
 from repro import (Buffer, Computation, Function, Input, Param, Var,
                    allocate_at, barrier_at, copy_at)
-from repro.core.communication import _prefix_domain
+from repro.core.communication import _pick_affine_bound, _prefix_domain
 from repro.core.computation import Operation
-from repro.isl import count
+from repro.isl import LinExpr, count
+from repro.isl.linexpr import OUT
 
 
 def tiled_comp(n=16, tile=4):
@@ -141,6 +142,25 @@ class TestCacheFootprints:
         b.split("i2", 4)
         with pytest.raises(ScheduleError):
             a.cache_shared_at(b, "i20")
+
+
+class TestFootprintBounds:
+    """Of several unit-coefficient bounds on a footprint dimension,
+    cache_at keeps the tile-relative ones and, among those that differ
+    by a constant, the tightest (the smallest staging buffer)."""
+
+    def test_tightest_comparable_bound_wins(self):
+        tile = LinExpr.dim(OUT, 0) * 8
+        lowers = [(1, tile), (1, tile + 2), (1, LinExpr({}, 5))]
+        assert _pick_affine_bound(lowers, 1, is_lower=True) == tile + 2
+        uppers = [(1, tile + 9), (1, tile + 7)]
+        assert _pick_affine_bound(uppers, 1, is_lower=False) == tile + 7
+
+    def test_incomparable_bounds_keep_the_first(self):
+        tile = LinExpr.dim(OUT, 0) * 8
+        other = LinExpr.dim(OUT, 0) * 4
+        assert _pick_affine_bound([(1, tile), (1, other)], 1,
+                                  is_lower=True) == tile
 
 
 class TestHostDeviceRoundTrip:

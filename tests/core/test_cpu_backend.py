@@ -177,6 +177,28 @@ class TestBoundaryPatterns:
         out = f.compile("cpu")(inp=data)["c"]
         assert np.allclose(out, np.where(data > 0.5, 1.0, -1.0))
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_logical_and_or(self, vectorized):
+        """``logical_and``/``logical_or`` lower to ``and``/``or`` on
+        scalars and to ``&``/``|`` in a vectorized loop."""
+        f = Function("f")
+        with f:
+            i = Var("i", 0, 16)
+            inp = Input("inp", [Var("x", 0, 16)])
+            v = inp(i)
+            c = Computation("c", [i], None)
+            c.set_expression(select(
+                (v > 0.2).logical_and(v < 0.8), 1.0,
+                select((v < 0.1).logical_or(v > 0.9), 2.0, 0.0)))
+        if vectorized:
+            c.vectorize("i", 4)
+        kernel = f.compile("cpu")
+        assert ("&" in kernel.source) == vectorized
+        data = np.linspace(0, 1, 16).astype(np.float32)
+        ref = np.where((data > 0.2) & (data < 0.8), 1.0,
+                       np.where((data < 0.1) | (data > 0.9), 2.0, 0.0))
+        assert np.allclose(kernel(inp=data)["c"], ref)
+
     def test_integer_dtype_division(self):
         """Integer computations use integer division (C semantics)."""
         f = Function("f")

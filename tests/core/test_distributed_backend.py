@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import (ASYNC, SYNC, Buffer, Computation, Function, Input,
-                   Param, Var, receive, send)
+                   Operation, Param, Var, receive, send)
 from repro.core.errors import ExecutionError
 
 
@@ -224,3 +224,17 @@ class TestAsyncSend:
     def test_empty_stats_async_fraction_is_zero(self):
         from repro.backends.distributed import CommStats
         assert CommStats().async_fraction() == 0.0
+
+
+class TestUnhandledOperation:
+    def test_unknown_kind_fails_on_the_rank(self):
+        """An operation kind no backend lowers reaches the rank runtime
+        with its iterators, which refuses it by kind and name."""
+        f = Function("unk")
+        with f:
+            Operation("o", [Var("u", 0, 2)], "prefetch", {})
+        k = f.compile("distributed")
+        assert "_runtime.op('prefetch', 'o', {'u': (t0)})" in k.source
+        with pytest.raises(ExecutionError,
+                           match=r"unhandled operation prefetch \(o\)"):
+            k(ranks=2, inputs={}, params={})

@@ -17,6 +17,14 @@ from repro.isl import cache as islcache
 from repro.isl.linexpr import OUT
 
 
+def _empty(stats):
+    return stats.tier("isl.empty")
+
+
+def _compose(stats):
+    return stats.tier("isl.compose")
+
+
 @st.composite
 def boxed_sets(draw):
     n_dims = draw(st.integers(1, 3))
@@ -50,8 +58,8 @@ class TestEmptinessMemo:
         before = isl_cache_stats()
         s.is_empty()
         after = isl_cache_stats()
-        assert after["empty_hits"] == before["empty_hits"] + 1
-        assert after["empty_misses"] == before["empty_misses"]
+        assert _empty(after).hits == _empty(before).hits + 1
+        assert _empty(after).misses == _empty(before).misses
 
     def test_reordered_constraints_share_one_entry(self):
         """The emptiness key is the canonical fingerprint, so the same
@@ -62,11 +70,11 @@ class TestEmptinessMemo:
         b = parse_set("{ [i,j] : 0 <= j < 4 and 0 <= i < 4 }").pieces[0]
         assert a.canonical_fingerprint() == b.canonical_fingerprint()
         a.is_empty()
-        misses = isl_cache_stats()["empty_misses"]
+        misses = _empty(isl_cache_stats()).misses
         b.is_empty()
         stats = isl_cache_stats()
-        assert stats["empty_misses"] == misses
-        assert stats["empty_hits"] >= 1
+        assert _empty(stats).misses == misses
+        assert _empty(stats).hits >= 1
 
     def test_rescaled_constraints_share_one_entry(self):
         """2i >= 2 normalises to i >= 1 at construction, so scaled
@@ -80,8 +88,8 @@ class TestEmptinessMemo:
     def test_clear_resets(self):
         parse_set("{ [i] : i = 0 }").pieces[0].is_empty()
         isl_cache_clear()
-        assert isl_cache_stats()["empty_size"] == 0
-        assert isl_cache_stats()["compose_size"] == 0
+        assert _empty(isl_cache_stats()).size == 0
+        assert _compose(isl_cache_stats()).size == 0
 
     def test_disabled_context_restores(self):
         assert islcache.enabled()
@@ -116,7 +124,7 @@ class TestCompositionMemo:
         before = isl_cache_stats()
         again = acc.apply_range(sched)
         after = isl_cache_stats()
-        assert after["compose_hits"] == before["compose_hits"] + 1
+        assert _compose(after).hits == _compose(before).hits + 1
         assert again.constraints == first.constraints
 
     def test_compose_key_is_order_sensitive(self):
@@ -143,9 +151,9 @@ class TestCompositionMemo:
             a.intersect(b)
             a.intersect(b)
         after = isl_cache_stats()
-        assert after["compose_hits"] == before["compose_hits"]
-        assert after["compose_misses"] == before["compose_misses"]
-        assert after["compose_size"] == 0
+        assert _compose(after).hits == _compose(before).hits
+        assert _compose(after).misses == _compose(before).misses
+        assert _compose(after).size == 0
 
 
 class TestEvictionBound:
@@ -155,4 +163,4 @@ class TestEvictionBound:
         # Distinct fingerprints: singleton sets i = k.
         for k in range(40):
             parse_set(f"{{ [i] : i = {k} }}").pieces[0].is_empty()
-        assert isl_cache_stats()["empty_size"] <= 8
+        assert _empty(isl_cache_stats()).size <= 8

@@ -143,8 +143,9 @@ class TestPrintRoundTrip:
 def _sample_points(obj):
     """Concrete points of a (possibly parametric / unbounded) object,
     restricted to a test window."""
-    sset = obj.to_set() if obj.space.is_map else obj
-    from repro.isl import parse_set
+    from repro.isl import Set, parse_set
+    sset = Set([p.to_set() for p in obj.pieces]) if obj.space.is_map \
+        else obj
     dims = ", ".join(f"w{k}" for k in range(len(sset.space.out_dims)))
     conds = " and ".join(f"-8 <= w{k} <= 8"
                          for k in range(len(sset.space.out_dims)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Buffer, Computation, Function, Input, Param, Var
-from repro.autosched import autoschedule, build_pluto_plan, pluto_schedule
+from repro.autosched import autoschedule, build_pluto_plan
 from repro.core.deps import check_schedule_legality
 from repro.driver.pipeline import compile_to_source
 from repro.kernels import (build_blur, build_cvtcolor, build_gaussian,
@@ -106,12 +106,3 @@ class TestFusionRollback:
         after = compile_to_source(fn, "cpu", cache=False)["source"]
         assert after == before
 
-
-class TestDeprecatedShim:
-    def test_pluto_schedule_warns_and_schedules(self):
-        bundle = build_sgemm()
-        with pytest.warns(DeprecationWarning, match="strategy='pluto'"):
-            report = pluto_schedule(bundle.function)
-        assert "acc" in report.tiled
-        check_schedule_legality(bundle.function)
-        assert bundle.verify(atol=1e-2)

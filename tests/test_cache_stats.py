@@ -1,8 +1,9 @@
 """The unified cache-stats vocabulary (repro.driver.stats): one
-CacheStats shape for every tier, with the pre-unification dict surfaces
-still answering for one release."""
+CacheStats shape for every tier, read through attributes, serialised by
+as_dict() and rendered by format_line()."""
 
 import json
+from collections.abc import Mapping
 
 import pytest
 
@@ -30,39 +31,31 @@ class TestCacheStats:
     def test_dict_surface_matches_legacy_shape(self):
         cs = CacheStats(tier="memory", hits=3, misses=1, evictions=2,
                         corruptions=0, size=4, maxsize=64)
-        # dict(cs) must reproduce exactly the pre-unification key set —
-        # no 'tier' key leaking into the mapping view.
-        assert dict(cs) == {"hits": 3, "misses": 1, "evictions": 2,
-                            "corruptions": 0, "size": 4, "maxsize": 64}
-        assert cs["hits"] == 3
-        assert cs.get("evictions", 0) == 2
-        assert cs.get("nonexistent", 7) == 7
-        assert set(STAT_KEYS) <= set(cs)
+        # as_dict() must reproduce exactly the pre-unification key set —
+        # no 'tier' key leaking into the serialised form.
+        assert cs.as_dict() == {"hits": 3, "misses": 1, "evictions": 2,
+                                "corruptions": 0, "size": 4,
+                                "maxsize": 64}
+        assert cs.hits == 3
+        assert cs.evictions == 2
+        assert set(STAT_KEYS) <= set(cs.as_dict())
 
-    def test_equality_against_plain_dict_both_ways(self):
-        cs = CacheStats(tier="memory", hits=1, size=1, maxsize=8)
-        as_dict = dict(cs)
-        assert cs == as_dict
-        assert as_dict == cs
+    def test_is_not_a_mapping(self):
+        cs = CacheStats(tier="memory", hits=1)
+        assert not isinstance(cs, Mapping)
+        with pytest.raises(TypeError):
+            cs["hits"]
 
     def test_extra_keys_ride_the_mapping(self):
         cs = CacheStats(tier="disk", hits=2, size=1,
                         extra={"bytes": 483, "max_bytes": 1024})
-        assert cs["bytes"] == 483
-        assert dict(cs)["max_bytes"] == 1024
-
-    def test_prefixed_reproduces_legacy_isl_keys(self):
-        cs = CacheStats(tier="isl.empty", hits=5, misses=2, size=3)
-        flat = cs.prefixed()
-        assert flat["empty_hits"] == 5
-        assert flat["empty_misses"] == 2
-        assert flat["empty_size"] == 3
-        assert cs.prefixed("disk")["disk_hits"] == 5
+        assert cs.extra["bytes"] == 483
+        assert cs.as_dict()["max_bytes"] == 1024
 
     def test_json_roundtrip(self):
         cs = CacheStats(tier="memory", hits=1, misses=2, size=3,
                         maxsize=64)
-        assert json.loads(json.dumps(dict(cs))) == cs
+        assert json.loads(json.dumps(cs.as_dict())) == cs.as_dict()
 
     def test_format_line(self):
         cs = CacheStats(tier="memory", hits=1, misses=2, evictions=0,
@@ -84,22 +77,12 @@ class TestCacheStatsGroup:
         assert g.tier("isl.empty").hits == 4
         assert g.tier("isl.compose").misses == 3
 
-    def test_legacy_flat_keys_still_answer(self):
-        g = self.group()
-        assert g["empty_hits"] == 4
-        assert g["compose_size"] == 3
-        assert g.get("empty_misses") == 2
-        assert dict(g) == {"empty_hits": 4, "empty_misses": 2,
-                           "empty_size": 2, "compose_hits": 1,
-                           "compose_misses": 3, "compose_size": 3}
-
-    def test_full_tier_name_also_answers(self):
-        g = self.group()
-        assert g["isl.empty_hits"] == 4
-
     def test_unknown_key_raises(self):
         with pytest.raises(KeyError):
-            self.group()["bogus_hits"]
+            self.group().tier("isl.bogus")
+
+    def test_is_not_a_mapping(self):
+        assert not isinstance(self.group(), Mapping)
 
 
 class TestReportUnification:
@@ -110,8 +93,8 @@ class TestReportUnification:
         for tier_name, stats in caches.items():
             assert stats.tier == tier_name
             for key in STAT_KEYS:
-                assert key in set(stats) | {"maxsize"} \
-                    or hasattr(stats, key)
+                assert key in stats.as_dict()
+                assert hasattr(stats, key)
 
     def test_registry_stats_is_cachestats(self):
         build().compile("cpu")
@@ -119,15 +102,14 @@ class TestReportUnification:
         assert isinstance(stats, CacheStats)
         assert stats.tier == "memory"
         assert stats.misses == 1
-        # Legacy read style still works.
-        assert stats["misses"] == 1
 
-    def test_isl_stats_group_legacy_keys(self):
+    def test_isl_stats_group_tiers(self):
         from repro.isl.cache import stats as isl_stats
         build().compile("cpu", check_legality=True)
         g = isl_stats()
         assert isinstance(g, CacheStatsGroup)
-        # The flat keys the old dict exposed keep answering.
-        for key in ("empty_hits", "empty_misses", "empty_size",
-                    "compose_hits", "compose_misses", "compose_size"):
-            assert isinstance(g[key], int)
+        assert set(g.tiers) == {"isl.empty", "isl.compose"}
+        for name in ("isl.empty", "isl.compose"):
+            tier = g.tier(name)
+            for key in ("hits", "misses", "size"):
+                assert isinstance(getattr(tier, key), int)

@@ -83,7 +83,7 @@ class TestCacheHits:
         assert k2 is k1
         assert not k1.report.cache_hit or k2.report.cache_hit
         assert k2.report.cache_hit
-        assert kernel_registry.stats()["hits"] == 1
+        assert kernel_registry.stats().hits == 1
 
     def test_identical_rebuild_hits(self):
         f1, _ = build()
@@ -111,7 +111,7 @@ class TestCacheInvalidation:
         c.vectorize("j1", 4)
         k2 = f.compile("cpu")
         assert not k2.report.cache_hit
-        assert kernel_registry.stats()["misses"] == 3
+        assert kernel_registry.stats().misses == 3
 
     def test_target_change_misses(self):
         f, _ = build()
@@ -154,8 +154,8 @@ class TestCacheDisable:
         assert k2 is not k1
         assert not k2.report.cache_hit
         stats = kernel_registry.stats()
-        assert stats["size"] == 0
-        assert stats["hits"] == 0 and stats["misses"] == 0
+        assert stats.size == 0
+        assert stats.hits == 0 and stats.misses == 0
 
 
 class TestLRUBound:
@@ -167,7 +167,7 @@ class TestLRUBound:
                                  source="", kernel=object()))
         assert "k1" not in cache
         assert "k2" in cache and "k3" in cache
-        assert cache.stats()["evictions"] == 1
+        assert cache.stats().evictions == 1
 
     def test_get_refreshes_lru_position(self):
         from repro.driver.cache import CacheEntry
@@ -185,11 +185,11 @@ class TestLRUBound:
         for n in range(4):
             f, _ = build(f"f{n}")
             f.compile("cpu")
-        assert kernel_registry.stats()["size"] == 4
+        assert kernel_registry.stats().size == 4
         kernel_registry.resize(2)
         try:
-            assert kernel_registry.stats()["size"] == 2
-            assert kernel_registry.stats()["evictions"] == 2
+            assert kernel_registry.stats().size == 2
+            assert kernel_registry.stats().evictions == 2
         finally:
             from repro.driver.cache import DEFAULT_MAXSIZE
             kernel_registry.resize(DEFAULT_MAXSIZE)

@@ -42,12 +42,12 @@ class TestRoundTrip:
         assert entry.source == "source-1"
         assert entry.target == "cpu"
         assert entry.extras == {"n": 3}
-        assert cache.stats()["hits"] == 1
+        assert cache.stats().hits == 1
 
     def test_missing_key_is_a_counted_miss(self, tmp_path):
         cache = DiskCache(tmp_path)
         assert cache.get("absent") is None
-        assert cache.stats()["misses"] == 1
+        assert cache.stats().misses == 1
 
     def test_unpicklable_extras_fail_soft(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -63,7 +63,7 @@ class TestCorruption:
         path = cache.path_for("k1")
         path.write_bytes(path.read_bytes()[:10])
         assert cache.get("k1") is None
-        assert cache.stats()["corruptions"] == 1
+        assert cache.stats().corruptions == 1
         # The corpse left the key namespace: the key now reads as a
         # plain (non-corrupt) miss, and the quarantine file remains.
         assert "k1" not in cache
@@ -77,7 +77,7 @@ class TestCorruption:
         payload["source"] = "tampered source"
         path.write_bytes(pickle.dumps(payload))
         assert cache.get("k1") is None
-        assert cache.stats()["corruptions"] == 1
+        assert cache.stats().corruptions == 1
 
     def test_wrong_schema_version_is_corruption(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -87,7 +87,7 @@ class TestCorruption:
         payload["version"] = 999
         path.write_bytes(pickle.dumps(payload))
         assert cache.get("k1") is None
-        assert cache.stats()["corruptions"] == 1
+        assert cache.stats().corruptions == 1
 
     def test_corrupt_artifact_recompiles_through_pipeline(self, tmp_path):
         cache = configure(tmp_path)
@@ -120,14 +120,14 @@ class TestEviction:
         for n in range(5):
             cache.put(f"k{n}", "x" * 100, "cpu")
         assert len(cache) == 2
-        assert cache.stats()["evictions"] == 3
+        assert cache.stats().evictions == 3
         # Every surviving artifact loads complete and digest-verified —
         # eviction never leaves a partially-removed entry servable.
         for key in cache.keys():
             entry = cache.get(key)
             assert entry is not None
             assert entry.source == "x" * 100
-        assert cache.stats()["corruptions"] == 0
+        assert cache.stats().corruptions == 0
 
     def test_read_refreshes_recency_across_eviction(self, tmp_path):
         import time

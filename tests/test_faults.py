@@ -177,7 +177,7 @@ class TestCacheCorruption:
         with injected(FaultPlan().corrupt_cache(key="k")):
             assert cache.get("k") is None
         assert "k" not in cache
-        assert cache.stats()["corruptions"] == 1
+        assert cache.stats().corruptions == 1
 
     def test_corruption_counts_into_metrics(self):
         from repro.obs.metrics import metrics
@@ -196,7 +196,7 @@ class TestCacheCorruption:
             k2 = build().compile("cpu")
             assert plan.fired("cache-corrupt") == 1
         assert not k2.report.cache_hit
-        assert kernel_registry.stats()["corruptions"] == 1
+        assert kernel_registry.stats().corruptions == 1
         out2 = k2(inp=data)["c"]
         assert out2.tobytes() == out1.tobytes()
 
@@ -206,4 +206,4 @@ class TestCacheCorruption:
         with injected(FaultPlan().corrupt_cache(key="ffff")):
             k = build().compile("cpu")
         assert k.report.cache_hit
-        assert kernel_registry.stats()["corruptions"] == 0
+        assert kernel_registry.stats().corruptions == 0

@@ -4,7 +4,8 @@ mechanism the paper credits must move the modeled time the right way."""
 import numpy as np
 import pytest
 
-from repro import Buffer, Computation, Function, Input, Param, Var
+from repro import (Buffer, Computation, Function, Input, Param, Var,
+                   copy_at)
 from repro.core.buffer import ArgKind
 from repro.machine import (CpuCostModel, GpuCostModel, CpuMachine,
                            estimate_messages, halo_exchange_time,
@@ -133,6 +134,48 @@ class TestCpuModelDirections:
         report = CpuCostModel(f, P).estimate()
         # one add + one multiply per iteration over 64^3 iterations
         assert report.flops == pytest.approx(2 * 64 ** 3, rel=0.01)
+
+
+class TestOperationCosts:
+    """Copies cost their bytes over memory bandwidth; other operations
+    cost a cycle."""
+
+    @staticmethod
+    def build(n, copy):
+        f = Function(f"cp{n}")
+        with f:
+            i = Var("i", 0, n)
+            src, dst = Buffer("src", [n]), Buffer("dst", [n])
+            c = Computation("c", [i], 7.0)
+            c.store_in(src, [i])
+        if copy:
+            f.order_after(copy_at(c, None, src, dst), c, -1)
+        return f
+
+    def copy_seconds(self, n):
+        return seconds(self.build(n, True), {}) \
+            - seconds(self.build(n, False), {})
+
+    def test_copy_cost_scales_with_bytes(self):
+        small = self.copy_seconds(1024)
+        assert small > 0
+        assert self.copy_seconds(4096) == pytest.approx(4 * small, rel=0.02)
+
+    def test_cache_copy_costs_its_footprint(self):
+        def build(cached):
+            N = Param("N")
+            f = Function("cc", params=[N])
+            with f:
+                i = Var("i", 0, N - 4)
+                inp = Input("inp", [Var("x", 0, N)])
+                c = Computation("c", [i], None)
+                c.set_expression(inp(i) + inp(i + 4))
+            c.split("i", 8, "i0", "i1")
+            if cached:
+                inp.cache_shared_at(c, "i0")
+            return f
+        params = {"N": 4100}
+        assert seconds(build(True), params) > seconds(build(False), params)
 
 
 class TestGpuModelDirections:

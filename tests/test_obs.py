@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.driver.stats import CacheStats
 from repro.driver.trace import CompileReport, StageTiming
 from repro.isl.enumerate_ import count as domain_count
 from repro.kernels.linalg import TEST_SGEMM, build_sgemm
@@ -485,11 +486,13 @@ class TestCompileReportObservability:
         # Keep report A, compile something else, A's stats must not move.
         a = build_sgemm()
         report_a = a.function.compile("cpu").report
-        frozen = dict(report_a.cache_stats)
+        frozen = {name: stats.as_dict()
+                  for name, stats in report_a.caches.items()}
         b = build_sgemm()
         b.computations["acc"].parallelize("i")   # different fingerprint
         b.function.compile("cpu", num_threads=1)
-        assert report_a.cache_stats == frozen
+        assert {name: stats.as_dict()
+                for name, stats in report_a.caches.items()} == frozen
 
     def test_to_dict_json_roundtrip(self):
         bundle = build_sgemm()
@@ -504,7 +507,9 @@ class TestCompileReportObservability:
         assert all(s["start"] > 0 for s in payload["stages"])
         assert payload["total_seconds"] == \
             pytest.approx(report.total_seconds)
-        assert payload["cache_stats"] == report.cache_stats
+        assert payload["caches"] == {name: stats.as_dict()
+                                     for name, stats in
+                                     report.caches.items()}
 
     def test_format_table_aligns_long_stage_names(self):
         report = CompileReport(function="f", target="cpu",
@@ -534,6 +539,47 @@ class TestCompileReportObservability:
         table = render_calibration(rows)
         assert "sgemm" in table and "yes" in table
 
+    def test_calibration_table_fits_a_model_oracle(self):
+        from repro.autosched import ModelOracle
+        from repro.evaluation import (calibration_table, fit_time_scale,
+                                      fitted_model_oracle)
+        rows = calibration_table()
+        benchmarks = {"sgemm", "conv", "spmv27"}
+        assert {r.benchmark for r in rows} == benchmarks
+        assert all(r.iterations_exact for r in rows)
+        fit = fit_time_scale(rows)
+        assert fit.scale > 0
+        assert set(fit.per_benchmark_error) == benchmarks
+        assert 0.0 <= fit.mean_error <= fit.max_error
+        oracle = fitted_model_oracle(rows=rows)
+        assert isinstance(oracle, ModelOracle)
+        assert oracle.scale == fit.scale
+
+    def test_time_scale_fit_is_least_squares_over_totals(self):
+        from repro.evaluation import CalibrationRow, fit_time_scale
+
+        def row(bench, comp, measured, modeled):
+            return CalibrationRow(bench, comp, 1, 1, measured, modeled,
+                                  0.5, 0.5)
+
+        # Per-benchmark totals: a = (3, 1.5), b = (8, 4) -> scale 2 fits
+        # both exactly.
+        fit = fit_time_scale([row("a", "x", 1.0, 0.5),
+                              row("a", "y", 2.0, 1.0),
+                              row("b", "z", 8.0, 4.0)])
+        assert fit.scale == pytest.approx(2.0)
+        assert fit.measured_totals == {"a": 3.0, "b": 8.0}
+        assert fit.max_error == pytest.approx(0.0)
+        # Totals off the line: scale = (1*1 + 4*1) / (1 + 1) = 2.5.
+        fit = fit_time_scale([row("a", "x", 1.0, 1.0),
+                              row("b", "y", 4.0, 1.0)])
+        assert fit.scale == pytest.approx(2.5)
+        assert fit.per_benchmark_error == pytest.approx(
+            {"a": 1.5, "b": 0.375})
+        assert fit.mean_error == pytest.approx((1.5 + 0.375) / 2)
+        with pytest.raises(ValueError, match="at least one row"):
+            fit_time_scale([])
+
     def test_format_table_conditional_lines(self):
         report = CompileReport(function="f", target="cpu",
                                fingerprint="abc")
@@ -544,10 +590,16 @@ class TestCompileReportObservability:
         report.races_checked = 1
         report.parallel_regions = 2
         report.parallel_workers = 4
-        report.cache_stats = {"hits": 1, "misses": 2, "evictions": 0,
-                              "size": 2, "maxsize": 64}
+        report.caches = {"memory": CacheStats(tier="memory", hits=1,
+                                              misses=2, size=2,
+                                              maxsize=64)}
         full = report.format_table()
         assert "3 dependences" in full
         assert "1 tagged" in full
         assert "2 region(s) x 4 worker(s)" in full
         assert "1 hits / 2 misses" in full
+        report.caches["disk"] = CacheStats(
+            tier="disk", hits=1, corruptions=2, size=3,
+            extra={"bytes": 400, "max_bytes": 1000})
+        assert ("disk cache: 1 hits / 0 misses / 0 evictions / 2 corrupt "
+                "(size 3, 400/1000 bytes)") in report.format_table()

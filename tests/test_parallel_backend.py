@@ -350,23 +350,3 @@ class TestTimeoutConfig:
     def test_no_timeout_means_wait_forever(self, monkeypatch):
         monkeypatch.delenv("TIRAMISU_TIMEOUT", raising=False)
         assert ParallelRuntime("src", 2).timeout is None
-
-
-class TestDeprecatedShims:
-    def test_compile_cpu_warns(self):
-        from repro.backends.cpu import compile_cpu
-        bundle = build_sgemm()
-        # The warning must name both the removal horizon and the
-        # replacement API.
-        with pytest.warns(DeprecationWarning,
-                          match=r"removed in release 2\.0.*"
-                                r'Function\.compile\("cpu"\)'):
-            compile_cpu(bundle.function)
-
-    def test_compile_distributed_warns(self):
-        from repro.backends.distributed import compile_distributed
-        bundle = build_sgemm()
-        with pytest.warns(DeprecationWarning,
-                          match=r"removed in release 2\.0.*"
-                                r'Function\.compile\("distributed"\)'):
-            compile_distributed(bundle.function)

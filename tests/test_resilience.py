@@ -459,8 +459,8 @@ class TestQuarantineAccounting:
         cache = DiskCache(tmp_path)
         _quarantine_one(cache, "k1", "s" * 200)
         stats = cache.stats()
-        assert stats["quarantined"] == 1
-        assert stats["quarantine_bytes"] > 0
+        assert stats.extra["quarantined"] == 1
+        assert stats.extra["quarantine_bytes"] > 0
 
     def test_count_cap_evicts_oldest_corpses(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TIRAMISU_CACHE_MAX_QUARANTINE", "2")
