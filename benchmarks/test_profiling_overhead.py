@@ -80,19 +80,19 @@ class TestProfileOffOverhead:
 
 @contextlib.contextmanager
 def _stubbed_telemetry():
-    """Replace the pipeline's journal probes and the autoflush hook
-    with no-ops — the closest measurable stand-in for a build that
-    never had the telemetry layer."""
+    """Replace the pipeline's record calls and the autoflush hook with
+    no-ops — the closest measurable stand-in for a build that never
+    had the telemetry layer."""
     from repro.driver import pipeline as pipeline_mod
     from repro.obs import export as export_mod
-    saved_emit = pipeline_mod.emit_event
+    saved_record = pipeline_mod.record
     saved_flush = export_mod.autoflush
-    pipeline_mod.emit_event = lambda *a, **k: False
+    pipeline_mod.record = lambda *a, **k: None
     export_mod.autoflush = lambda: None
     try:
         yield
     finally:
-        pipeline_mod.emit_event = saved_emit
+        pipeline_mod.record = saved_record
         export_mod.autoflush = saved_flush
 
 

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import metrics
+from repro.obs.events import record
 
 from .plan import SchedulePlan
 
@@ -152,7 +152,7 @@ class MeasuredOracle(CostOracle):
                                                 autoschedule=p.serialize()))
                     for p in plans]
         kernels = compile_batch(requests, target=self.target)
-        metrics.counter("autosched.measured").inc(len(plans))
+        record("autosched.measured", n=len(plans))
         scored = [(plan, self._time_kernel(kernel, inputs))
                   for plan, kernel in zip(plans, kernels)]
         scored.sort(key=lambda pc: (pc[1], pc[0].serialize()))

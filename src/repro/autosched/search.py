@@ -23,9 +23,10 @@ refines numeric choices (tile sizes, unroll factors) plus drops/appends
 actions under the same legality pruning — cheap local search where the
 beam's fixed menu is too coarse.
 
-Search accounting flows into the process metrics registry
-(``autosched.candidates`` / ``.pruned_illegal`` / ``.beam_kept`` /
-``.measured``) and, when tracing is on, into per-round tracer spans.
+Search accounting is recorded (:func:`repro.obs.events.record`:
+``autosched.candidates`` for every enumerated plan, ``search.prune``
+for the illegal ones, ``autosched.beam_kept``, ``search.round``, ...)
+and, when tracing is on, spans every round on the tracer.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from repro.core.deps import (Dependence, DependenceAnalysis,
                              compute_dependences)
 from repro.core.errors import IllegalScheduleError, ScheduleError
 from repro.ir.expr import accesses_in
-from repro.obs.events import (EVT_SEARCH, compile_context,
-                              current_compile_id, new_compile_id)
-from repro.obs.events import emit as emit_event
-from repro.obs.metrics import metrics
+from repro.obs.events import (compile_context, current_compile_id,
+                              new_compile_id, record)
 from repro.obs.tracer import get_tracer
 
 from .actions import (ActionError, Fuse, Interchange, Parallelize,
@@ -202,8 +201,7 @@ def _try_extension(fn, applied: SchedulePlan, action: ScheduleAction,
     except IllegalScheduleError:
         applied.pop(fn)
         report.pruned_illegal += 1
-        metrics.counter("autosched.pruned_illegal").inc()
-        emit_event("search.prune", EVT_SEARCH, action=repr(action))
+        record("search.prune", action=repr(action))
         return False
 
 
@@ -223,13 +221,12 @@ def _expand(fn, plan: SchedulePlan, budget: _Budget, seen: set,
             if not budget.take():
                 break
             report.candidates += 1
-            metrics.counter("autosched.candidates").inc()
+            record("autosched.candidates")
             if _try_extension(fn, applied, action, report, deps):
                 applied.pop(fn)
                 out.append(candidate)
-                emit_event("search.candidate", EVT_SEARCH,
-                           action=repr(action),
-                           depth=len(candidate.actions))
+                record("search.candidate", action=repr(action),
+                       depth=len(candidate.actions))
     finally:
         if applied.applied:
             applied.undo()
@@ -277,8 +274,8 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
                        ) -> Tuple[SchedulePlan, SearchReport]:
     tracer = get_tracer()
     report = report or SearchReport(strategy="beam")
-    emit_event("search.begin", EVT_SEARCH, strategy=report.strategy,
-               function=fn.name, beam_width=beam_width, rounds=rounds)
+    record("search.begin", strategy=report.strategy, function=fn.name,
+           beam_width=beam_width, rounds=rounds)
     budget_ = _Budget(budget)
     baseline = SchedulePlan()
     report.baseline_cost = oracle.score(fn, baseline)
@@ -301,14 +298,13 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
         beam = scored[:beam_width]
         report.rounds = round_no + 1
         report.beam_kept += len(beam)
-        metrics.counter("autosched.beam_kept").inc(len(beam))
+        record("autosched.beam_kept", n=len(beam))
         for plan, cost in beam:
             best_pool[plan.serialize()] = (plan, cost)
         report.history.append(
             (round_no, min(c for _, c in best_pool.values())))
-        emit_event("search.round", EVT_SEARCH, round=round_no,
-                   frontier=len(frontier), kept=len(beam),
-                   best_cost=report.history[-1][1])
+        record("search.round", round=round_no, frontier=len(frontier),
+               kept=len(beam), best_cost=report.history[-1][1])
 
     finalists = sorted(best_pool.values(),
                        key=lambda pc: (pc[1], pc[0].serialize()))
@@ -316,7 +312,7 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
 
     if measure_oracle is not None and len(finalists) > 1:
         top = [p for p, _ in finalists[:max(2, measure_top_k)]]
-        emit_event("search.measure", EVT_SEARCH, finalists=len(top))
+        record("search.measure", finalists=len(top))
         with tracer.span("autosched.measure", cat="autosched",
                          finalists=len(top)):
             measured = measure_oracle.rank(fn, top)
@@ -324,10 +320,9 @@ def _beam_search_inner(fn, oracle: CostOracle, *, beam_width: int,
         best_plan, best_cost = measured[0]
 
     report.best_cost = best_cost
-    emit_event("search.end", EVT_SEARCH, strategy=report.strategy,
-               rounds=report.rounds, candidates=report.candidates,
-               pruned=report.pruned_illegal, best_cost=best_cost,
-               actions=len(best_plan.actions))
+    record("search.end", strategy=report.strategy, rounds=report.rounds,
+           candidates=report.candidates, pruned=report.pruned_illegal,
+           best_cost=best_cost, actions=len(best_plan.actions))
     return best_plan, report
 
 
@@ -421,7 +416,7 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
                     if not budget_.take():
                         break
                     report.candidates += 1
-                    metrics.counter("autosched.candidates").inc()
+                    record("autosched.candidates")
                     applied = None
                     try:
                         applied = mutant.copy().apply(fn)
@@ -429,7 +424,7 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
                         candidates.append(mutant)
                     except IllegalScheduleError:
                         report.pruned_illegal += 1
-                        metrics.counter("autosched.pruned_illegal").inc()
+                        record("search.prune", action=repr(mutant))
                     except (ScheduleError, ActionError):
                         pass
                     finally:
@@ -442,30 +437,29 @@ def _evolutionary_search_inner(fn, oracle: CostOracle, *,
             scored = oracle.rank(fn, candidates)
         keep = scored[:population]
         report.beam_kept += len(keep)
-        metrics.counter("autosched.beam_kept").inc(len(keep))
+        record("autosched.beam_kept", n=len(keep))
         for plan, cost in keep:
             pool[plan.serialize()] = (plan, cost)
         current = [p for p, _ in keep]
         report.history.append(
             (rounds + gen, min(c for _, c in pool.values())))
-        emit_event("search.round", EVT_SEARCH, round=rounds + gen,
-                   generation=gen, frontier=len(candidates),
-                   kept=len(keep), best_cost=report.history[-1][1])
+        record("search.round", round=rounds + gen, generation=gen,
+               frontier=len(candidates), kept=len(keep),
+               best_cost=report.history[-1][1])
 
     finalists = sorted(pool.values(),
                        key=lambda pc: (pc[1], pc[0].serialize()))
     best_plan, best_cost = finalists[0]
     if measure_oracle is not None and len(finalists) > 1:
         top = [p for p, _ in finalists[:max(2, measure_top_k)]]
-        emit_event("search.measure", EVT_SEARCH, finalists=len(top))
+        record("search.measure", finalists=len(top))
         measured = measure_oracle.rank(fn, top)
         report.measured += len(top)
         best_plan, best_cost = measured[0]
     report.best_cost = best_cost
-    emit_event("search.end", EVT_SEARCH, strategy=report.strategy,
-               rounds=report.rounds, candidates=report.candidates,
-               pruned=report.pruned_illegal, best_cost=best_cost,
-               actions=len(best_plan.actions))
+    record("search.end", strategy=report.strategy, rounds=report.rounds,
+           candidates=report.candidates, pruned=report.pruned_illegal,
+           best_cost=best_cost, actions=len(best_plan.actions))
     return best_plan, report
 
 

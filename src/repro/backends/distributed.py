@@ -43,6 +43,7 @@ from repro.core.errors import (CodegenError, DeadlockError, ExecutionError,
 from repro.core.function import Function
 
 from repro.driver.registry import Backend, register_backend
+from repro.obs.events import record
 
 from .common import (DEFAULT_JOIN_TIMEOUT, DEFAULT_RECV_TIMEOUT,
                      bind_python_kernel, collect_buffers, resolve_timeout)
@@ -137,16 +138,14 @@ class MPIRuntime:
         if plan is not None:
             coords = dict(src=self.rank, dst=dest, message=msg_index)
             if plan.fires("message-drop", **coords):
-                from repro.obs.metrics import metrics
-                metrics.counter("dist.messages_dropped").inc()
+                record("dist.messages_dropped")
                 # Lost on the link; the receiver times out.  The sync
                 # sender's completion is left to that receive-timeout
                 # machinery rather than blocking here forever.
                 return SendRequest()
             if plan.fires("message-corrupt", **coords):
                 plan.corrupt_array(payload, "message-corrupt", **coords)
-                from repro.obs.metrics import metrics
-                metrics.counter("dist.messages_corrupted").inc()
+                record("dist.messages_corrupted")
         event = threading.Event()
         world.channel(self.rank, dest).put((payload, event))
         request = SendRequest(event)
@@ -204,8 +203,7 @@ class MPIRuntime:
             while True:
                 failure = world.failure_of(source)
                 if failure is not None:
-                    from repro.obs.metrics import metrics
-                    metrics.counter("dist.rank_failure_propagations").inc()
+                    record("dist.rank_failure_propagations")
                     raise RankFailedError(
                         f"rank {self.rank}: peer rank {source} failed: "
                         f"{failure}", rank=source)
@@ -220,8 +218,7 @@ class MPIRuntime:
                 # caught between receiving its payload and deregistering
                 # can make one observation stale, never two.
                 if cycle is not None and cycle == suspected:
-                    from repro.obs.metrics import metrics
-                    metrics.counter("dist.deadlocks").inc()
+                    record("dist.deadlocks")
                     chain = " -> ".join(f"rank {r}" for r in cycle)
                     raise DeadlockError(
                         f"rank {self.rank}: deadlock detected — wait-for "
@@ -229,8 +226,7 @@ class MPIRuntime:
                         cycle=cycle)
                 suspected = cycle
                 if time.monotonic() >= deadline:
-                    from repro.obs.metrics import metrics
-                    metrics.counter("dist.recv_timeouts").inc()
+                    record("dist.recv_timeouts")
                     raise ExecutionError(
                         f"rank {self.rank}: receive from {source} timed "
                         f"out after {limit:g}s (mismatched send/receive "
@@ -256,8 +252,7 @@ class MPIRuntime:
             # never becomes true).
             cycle = self.world.recv_cycle()
             if cycle is not None:
-                from repro.obs.metrics import metrics
-                metrics.counter("dist.deadlocks").inc()
+                record("dist.deadlocks")
                 chain = " -> ".join(f"rank {r}" for r in cycle)
                 raise DeadlockError(
                     f"rank {self.rank}: barrier broken — wait-for cycle "
@@ -469,7 +464,6 @@ class DistributedKernel:
         deadline raises instead of silently returning ``None`` results.
         """
         from repro.faults import get_plan
-        from repro.obs.metrics import metrics
         plan = get_plan()
         option = timeout if timeout is not None else self.timeout
         recv_timeout = resolve_timeout(option, DEFAULT_RECV_TIMEOUT)
@@ -516,7 +510,7 @@ class DistributedKernel:
                 # Primary failures only; ranks killed by a peer's death
                 # are already counted as propagations by recv().
                 if not isinstance(exc, RankFailedError):
-                    metrics.counter("dist.rank_failures").inc()
+                    record("dist.rank_failures", rank=rank)
             finally:
                 world.mark_finished(rank)
 
@@ -539,7 +533,7 @@ class DistributedKernel:
             raise ExecutionError(
                 f"rank {root} failed: {err}{suffix}") from err
         if hung:
-            metrics.counter("dist.hung_ranks").inc(len(hung))
+            record("dist.hung_ranks", n=len(hung), ranks=list(hung))
             names = ", ".join(str(r) for r in hung)
             raise ExecutionError(
                 f"distributed run hung: rank(s) {names} still running "

@@ -25,17 +25,19 @@ pickle): each chunk carries the emitted source and its digest, and the
 worker process re-execs it once, caching the namespace per digest.
 
 Fault tolerance (docs/robustness.md): a region dispatch that loses a
-worker (``BrokenProcessPool``) or misses its per-chunk ``timeout`` is
-retried on a fresh pool with exponential backoff, up to ``max_retries``
-times; shared buffers are snapshotted before the first dispatch and
-restored before each retry so reductions stay bit-identical.  When the
-pool keeps dying, ``on_worker_failure`` picks the endgame: ``"fallback"``
+worker (``BrokenProcessPool``) or misses its per-chunk ``timeout`` runs
+in the shared worker-failure loop
+(:func:`repro.driver.resilience.retry_worker_failures`): retried on a
+fresh pool with exponential backoff, up to ``max_retries`` times, with
+shared buffers snapshotted before the first dispatch and restored
+before each retry so reductions stay bit-identical.  When the pool
+keeps dying, ``on_worker_failure`` picks the endgame: ``"fallback"``
 (default) runs the region inline in the parent, ``"retry"`` raises after
 the last attempt, ``"raise"`` fails on the first.  Exceptions raised *by*
 the loop body are deterministic application errors and are never
 retried.  Every retry, pool restart, chunk timeout and fallback is
-counted in :mod:`repro.obs.metrics` and spanned on the tracer timeline;
-an active :class:`repro.faults.FaultPlan` can crash or hang individual
+recorded (``parallel.*``, see :func:`repro.obs.events.record`); an
+active :class:`repro.faults.FaultPlan` can crash or hang individual
 chunk workers deterministically.
 """
 
@@ -57,8 +59,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import ExecutionError, WorkerFailureError
-from repro.obs.events import EVT_PARALLEL
-from repro.obs.events import emit as emit_event
+from repro.obs.events import record
 
 from .common import resolve_timeout
 
@@ -272,11 +273,16 @@ class ParallelRuntime:
     memory.
     """
 
+    #: The :class:`ParallelStats` field each worker-failure loop record
+    #: kind is counted in.
+    STAT_FIELDS = {"breaker_block": "breaker_blocks",
+                   "pool_restart": "pool_restarts", "retry": "retries",
+                   "fallback": "sequential_fallbacks"}
+
     def __init__(self, source: str, num_threads: int,
                  min_chunk_iters: int = 1, profiled: bool = False,
                  max_retries: int = 2, timeout: Optional[float] = None,
-                 on_worker_failure: str = "fallback",
-                 retry_backoff: float = 0.05):
+                 on_worker_failure: str = "fallback"):
         self.source = source
         self.digest = hashlib.sha256(source.encode()).hexdigest()
         self.num_threads = int(num_threads)
@@ -292,10 +298,33 @@ class ParallelRuntime:
                 f"on_worker_failure must be 'retry', 'fallback' or "
                 f"'raise', got {on_worker_failure!r}")
         self.on_worker_failure = on_worker_failure
-        self.retry_backoff = float(retry_backoff)
         self.stats = ParallelStats()
         self._specs = None  # buffer name -> (shm name, shape, dtype str)
         self._views = None  # buffer name -> shm-backed ndarray (parent)
+
+    def _count(self, kind: str) -> None:
+        """Count one worker-failure loop record on this runtime's
+        stats (kinds without a stats field are only recorded)."""
+        name = self.STAT_FIELDS.get(kind)
+        if name is not None:
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
+
+    def _snapshot_restore(self):
+        """Snapshot the shared buffers and return the hook that puts
+        them back, or None when failures are not retried (or nothing is
+        staged).  Chunks may have partially applied writes (reductions!)
+        when a worker dies mid-flight; restoring keeps every retry, and
+        the fallback, bit-identical."""
+        if self.on_worker_failure == "raise" or self._views is None:
+            return None
+        views = self._views
+        saved = {name: np.array(view, copy=True)
+                 for name, view in views.items()}
+
+        def restore() -> None:
+            for name, data in saved.items():
+                views[name][...] = data
+        return restore
 
     def enabled(self) -> bool:
         return self.num_threads >= 2 \
@@ -311,13 +340,8 @@ class ParallelRuntime:
         if self._specs is None or trip < 2 * self.min_chunk_iters \
                 or not self.enabled():
             return False
-        from repro.driver.resilience import pool_breaker
-        if not pool_breaker().allow():
-            self.stats.breaker_blocks += 1
-            from repro.obs.metrics import metrics
-            metrics.counter("parallel.breaker_blocks").inc()
-            return False
-        return True
+        from repro.driver.resilience import breaker_refuses
+        return not breaker_refuses("parallel", self._count)
 
     @contextmanager
     def sharing(self, arrays: Dict[str, np.ndarray]):
@@ -387,71 +411,26 @@ class ParallelRuntime:
         profiling, its counter snapshot); they are aggregated here, in
         the parent, into the process-global metrics registry and the
         per-call ``obs`` collector — workers never share state."""
-        from repro.driver.resilience import current_deadline, pool_breaker
-        from repro.obs.metrics import metrics
+        from repro.driver.resilience import (current_deadline,
+                                             retry_worker_failures)
         if self._specs is None:  # raced a pool teardown
             raise ExecutionError(
                 f"parallel region {body.__name__} has no active pool")
         ambient_deadline = current_deadline()
         if ambient_deadline is not None:
             ambient_deadline.check("parallel-dispatch")
-        breaker = pool_breaker()
         region = self.stats.regions
         self.stats.regions += 1
-        metrics.counter("parallel.regions").inc()
-        retryable = self.on_worker_failure != "raise"
-        # Chunks may have partially applied writes (reductions!) when a
-        # worker dies mid-flight; the snapshot lets every retry start
-        # from clean buffers, keeping retried output bit-identical.
-        snapshot = None
-        if retryable and self._views is not None:
-            snapshot = {name: np.array(view, copy=True)
-                        for name, view in self._views.items()}
-        attempts = 1 + (self.max_retries if retryable else 0)
-        delay = self.retry_backoff
-        failure: Optional[WorkerFailureError] = None
-        for attempt in range(attempts):
-            try:
-                self._dispatch(body, params, lo, hi, obs, region, attempt)
-                breaker.record_success()
-                return
-            except WorkerFailureError as exc:
-                failure = exc
-                breaker.record_failure()
-                metrics.counter("parallel.worker_failures").inc()
-                emit_event("parallel.worker_failure", EVT_PARALLEL,
-                           region=region, attempt=attempt,
-                           error=str(exc))
-                discard_pool(self.num_threads)
-                self.stats.pool_restarts += 1
-                metrics.counter("parallel.pool_restarts").inc()
-                emit_event("parallel.pool_restart", EVT_PARALLEL,
-                           workers=self.num_threads)
-                if snapshot is not None:
-                    for name, saved in snapshot.items():
-                        self._views[name][...] = saved
-                if attempt + 1 < attempts:
-                    self.stats.retries += 1
-                    metrics.counter("parallel.retries").inc()
-                    self._trace_fault(f"parallel:retry:{body.__name__}",
-                                      attempt=attempt + 1, reason=str(exc))
-                    emit_event("parallel.retry", EVT_PARALLEL,
-                               region=region, attempt=attempt + 1,
-                               backoff_seconds=delay)
-                    time.sleep(delay)
-                    delay *= 2
-                    if get_pool(self.num_threads) is None:
-                        break  # the pool cannot come back on this host
-        if self.on_worker_failure == "fallback":
-            self.stats.sequential_fallbacks += 1
-            metrics.counter("parallel.sequential_fallbacks").inc()
-            self._trace_fault(f"parallel:fallback:{body.__name__}",
-                              region=region, reason=str(failure))
-            emit_event("parallel.fallback", EVT_PARALLEL, region=region,
-                       reason=str(failure))
-            self._run_inline(body, params, lo, hi, obs)
-            return
-        raise failure
+        record("parallel.regions")
+        retry_worker_failures(
+            "parallel",
+            lambda attempt: self._dispatch(body, params, lo, hi, obs,
+                                           region, attempt),
+            lambda failure: self._run_inline(body, params, lo, hi, obs),
+            workers=self.num_threads, max_retries=self.max_retries,
+            on_failure=self.on_worker_failure, count=self._count,
+            restore=self._snapshot_restore(), region=region,
+            body=body.__name__)
 
     def _dispatch(self, body, params: Dict[str, int], lo: int, hi: int,
                   obs, region: int, attempt: int) -> None:
@@ -516,10 +495,9 @@ class ParallelRuntime:
                             timeout=remaining)
                 except FuturesTimeoutError:
                     self.stats.chunk_timeouts += 1
-                    metrics.counter("parallel.chunk_timeouts").inc()
-                    emit_event("parallel.chunk_timeout", EVT_PARALLEL,
-                               region=region, chunk_lo=clo, chunk_hi=chi,
-                               timeout_seconds=self.timeout)
+                    record("parallel.chunk_timeout", region=region,
+                           chunk_lo=clo, chunk_hi=chi,
+                           timeout_seconds=self.timeout)
                     raise WorkerFailureError(
                         f"parallel region {body.__name__}: chunk "
                         f"[{clo}, {chi}] exceeded the {self.timeout:g}s "
@@ -568,22 +546,3 @@ class ParallelRuntime:
             body(views, params, lo, hi, obs)
         else:
             body(views, params, lo, hi)
-
-    @staticmethod
-    def _trace_fault(name: str, **args) -> None:
-        """Drop a zero-length marker span on the tracer timeline so
-        retries and fallbacks are visible next to chunk spans.
-
-        Fault paths also flush the trace file eagerly: a run that is
-        crashing workers may not live to the atexit handler, and the
-        export is atomic, so flushing mid-run costs nothing but leaves
-        evidence on disk."""
-        from repro.obs.tracer import CAT_FAULT, get_tracer, write_trace_file
-        tracer = get_tracer()
-        if tracer.enabled():
-            now = time.perf_counter_ns()
-            tracer.add_span(name, CAT_FAULT, now, now, **args)
-            try:
-                write_trace_file()
-            except OSError:
-                pass  # telemetry must never take the run down

@@ -23,11 +23,13 @@ same machinery that executes parallel loop chunks — via
 the shipped source with
 :meth:`~repro.driver.pipeline.CompilePipeline.run_precompiled` and
 publishes the artifact to the memory and disk cache tiers.  Warm
-requests (memory or disk hit) never leave the parent.  The parallel
-runtime's fault-tolerance options apply to compile dispatch too: a
-worker crash or a compile missing its ``timeout`` is retried on a
-fresh pool up to ``max_retries`` times, after which
-``on_worker_failure`` picks the endgame (``"fallback"`` compiles
+requests (memory or disk hit) never leave the parent.  Compile
+dispatch runs in the same worker-failure loop as the parallel runtime
+(:func:`~repro.driver.resilience.retry_worker_failures`, records under
+``batch.``), with the same options: a worker crash or a compile
+missing its ``timeout`` is retried on a fresh pool up to
+``max_retries`` times, after which ``on_worker_failure`` picks the
+endgame (``"fallback"`` compiles
 inline in the parent, ``"retry"`` raises after the last attempt,
 ``"raise"`` fails on the first).  Deterministic compile errors — an
 illegal schedule, a bad option — are application errors: they are
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import pickle
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import as_completed as _futures_as_completed
@@ -50,16 +51,12 @@ from typing import Dict, Iterable, Iterator, List, Optional
 import os
 
 from repro.core.errors import AdmissionError, WorkerFailureError
-from repro.obs.events import (EVT_BATCH, EVT_RESILIENCE, compile_context,
-                              emit, new_compile_id)
+from repro.obs.events import compile_context, new_compile_id, record
 
 from .pipeline import CompilePipeline, compile_to_source
 from .registry import get_backend
-from .resilience import Deadline, deadline_scope, pool_breaker
-
-#: Backoff before a retried worker compile (doubles per attempt),
-#: mirroring ParallelRuntime.retry_backoff.
-RETRY_BACKOFF = 0.05
+from .resilience import (Deadline, breaker_refuses, deadline_scope,
+                         retry_worker_failures)
 
 #: Admission-control environment knobs (docs/robustness.md): the
 #: default capacity bounds and overload policy for every BatchCompiler
@@ -87,12 +84,17 @@ def _env_capacity(name: str) -> Optional[int]:
 
 def _compile_source_job(fn, target: str, options: Dict[str, object],
                         compile_id: Optional[str] = None,
-                        deadline_remaining: Optional[float] = None):
+                        deadline_remaining: Optional[float] = None,
+                        crash: bool = False):
     """What a pool worker runs: the heavy pipeline stages, returning a
     picklable artifact for the parent to bind.  ``compile_id`` carries
     the submit-time correlation id across the process boundary, so the
     worker's journal events join the parent's; ``deadline_remaining``
-    carries what is left of the request budget the same way."""
+    carries what is left of the request budget the same way.
+    ``crash`` is the parent's fault-injection decision: the worker
+    dies outright, breaking the pool."""
+    if crash:
+        os._exit(13)
     return compile_to_source(fn, target, compile_id=compile_id,
                              deadline_remaining=deadline_remaining,
                              **options)
@@ -127,6 +129,11 @@ class BatchStats:
     admission_shed: int = 0      # queued jobs cancelled to admit newer
     admission_blocked: int = 0   # submits that waited for capacity
     breaker_short_circuits: int = 0  # offloads refused by the breaker
+
+
+class _Unshippable(Exception):
+    """The job cannot cross the process boundary (pickling failed at
+    submit or in the pool's feeder): compile it inline, no failure."""
 
 
 class _Job:
@@ -309,7 +316,6 @@ class BatchCompiler:
         job attach to it instead of compiling again."""
         if self._shut_down:
             raise RuntimeError("BatchCompiler is shut down")
-        from repro.obs.metrics import metrics
         resolved_target = target or self.target
         opts = dict(self.default_options)
         opts.update(options)
@@ -326,16 +332,13 @@ class BatchCompiler:
         # it, so the unbounded (and count-bounded) paths skip it.
         cost_bytes = (self._estimate_cost(fn, opts)
                       if self.max_queued_bytes is not None else 0)
-        metrics.counter("compile_batch.submitted").inc()
         with self._stats_lock:
             self.stats.submitted += 1
             job = self._jobs.get(fingerprint)
             if job is not None:
                 self.stats.deduplicated += 1
-                metrics.counter("compile_batch.deduplicated").inc()
-                emit("batch.dedup", EVT_BATCH,
-                     compile_id=job.compile_id, function=fn.name,
-                     key=fingerprint[:16])
+                record("batch.dedup", compile_id=job.compile_id,
+                       function=fn.name, key=fingerprint[:16])
                 handle = CompileHandle(job, request)
                 job.handles.append(handle)
                 return handle
@@ -343,9 +346,8 @@ class BatchCompiler:
                        cost_bytes=cost_bytes)
             self._admit_locked(job)   # may raise, block, or shed
             self._jobs[fingerprint] = job
-        emit("batch.submit", EVT_BATCH, compile_id=job.compile_id,
-             function=fn.name, target=resolved_target,
-             key=fingerprint[:16])
+        record("batch.submit", compile_id=job.compile_id, function=fn.name,
+               target=resolved_target, key=fingerprint[:16])
         handle = CompileHandle(job, request)
         job.handles.append(handle)
         job.thread_future = self._threads.submit(self._run_job, job)
@@ -368,7 +370,6 @@ class BatchCompiler:
         the job to the pending ledger, or — over capacity — applies the
         policy: raise :class:`AdmissionError`, wait on the condition, or
         shed the oldest not-yet-started job to make room."""
-        from repro.obs.metrics import metrics
         if self.max_pending is None and self.max_queued_bytes is None:
             return
         blocked = False
@@ -395,20 +396,17 @@ class BatchCompiler:
                 if not blocked:
                     blocked = True
                     self.stats.admission_blocked += 1
-                    metrics.counter("resilience.admission.block").inc()
-                    emit("resilience.admission.block", EVT_RESILIENCE,
-                         compile_id=job.compile_id, limit=limit,
-                         pending=self._pending,
-                         pending_bytes=self._pending_bytes)
+                    record("resilience.admission.block",
+                           compile_id=job.compile_id, limit=limit,
+                           pending=self._pending,
+                           pending_bytes=self._pending_bytes)
                 self._admission.wait()
                 continue
             # "reject", or shed-oldest with nothing left to shed.
             self.stats.admission_rejected += 1
-            metrics.counter("resilience.admission.reject").inc()
-            emit("resilience.admission.reject", EVT_RESILIENCE,
-                 compile_id=job.compile_id, limit=limit,
-                 pending=self._pending,
-                 pending_bytes=self._pending_bytes)
+            record("resilience.admission.reject",
+                   compile_id=job.compile_id, limit=limit,
+                   pending=self._pending, pending_bytes=self._pending_bytes)
             raise AdmissionError(
                 f"compile service over capacity ({limit}: "
                 f"{self._pending} pending, {self._pending_bytes} queued "
@@ -418,7 +416,6 @@ class BatchCompiler:
         """Cancel the oldest in-flight job that has not started running
         (its handles fail with :class:`AdmissionError`); returns False
         when every pending job is already executing."""
-        from repro.obs.metrics import metrics
         for victim in self._inflight:
             # shed is set before cancel(): a cancelled future runs its
             # done callback synchronously in this thread, and _settle
@@ -434,10 +431,8 @@ class BatchCompiler:
             self._jobs.pop(victim.fingerprint, None)
             self._shed_jobs.append(victim)
             self.stats.admission_shed += 1
-            metrics.counter("resilience.admission.shed").inc()
-            emit("resilience.admission.shed", EVT_RESILIENCE,
-                 compile_id=victim.compile_id,
-                 function=victim.fn.name)
+            record("resilience.admission.shed",
+                   compile_id=victim.compile_id, function=victim.fn.name)
             victim.future.set_exception(AdmissionError(
                 f"compile of {victim.fn.name!r} shed before starting: "
                 f"the service is over capacity and newer work was "
@@ -511,8 +506,7 @@ class BatchCompiler:
                     self._count(disk_hits=1)
                 else:
                     self._count(compiled=1, worker_compiles=1)
-                    from repro.obs.metrics import metrics
-                    metrics.counter("compile_batch.worker_compiles").inc()
+                    record("batch.worker_compiles", function=job.fn.name)
                 return kernel
         with self._bind_lock:
             kernel = pipeline.run(job.fn, **job.options)
@@ -523,8 +517,7 @@ class BatchCompiler:
             self._count(disk_hits=1)
         else:
             self._count(compiled=1, inline_compiles=1)
-            from repro.obs.metrics import metrics
-            metrics.counter("compile_batch.inline_compiles").inc()
+            record("batch.inline_compiles", function=job.fn.name)
         return kernel
 
     def _offloadable(self, pipeline: CompilePipeline, job: _Job) -> bool:
@@ -543,7 +536,13 @@ class BatchCompiler:
         disk = pipeline._disk_tier()
         if disk is not None and job.fingerprint in disk:
             return False   # warm on disk: loading inline is cheaper
-        if not self._breaker_allows_offload(job):
+        if breaker_refuses("batch", self._count_kind,
+                           function=job.fn.name):
+            # Degrade before the costly probes below (pool creation,
+            # the picklability check): the dispatch would never happen.
+            self._count_kind("fallback")
+            record("batch.fallback", function=job.fn.name,
+                   reason="breaker-open")
             return False
         from repro.backends.parallel import get_pool
         if get_pool(self.workers) is None:
@@ -554,116 +553,79 @@ class BatchCompiler:
             return False
         return True
 
-    def _breaker_allows_offload(self, job: _Job) -> bool:
-        """Consult the shared pool's circuit breaker before the costly
-        offload probes (pool creation, the picklability check): while
-        the breaker is open the job degrades to the inline path without
-        paying for a dispatch that will never happen."""
-        if pool_breaker().allow():
-            return True
-        from repro.obs.metrics import metrics
-        self._count(breaker_short_circuits=1, fallbacks=1)
-        metrics.counter("compile_batch.fallbacks").inc()
-        emit("batch.fallback", EVT_BATCH, compile_id=job.compile_id,
-             function=job.fn.name, reason="breaker-open")
-        return False
+    #: The :class:`BatchStats` field each worker-failure loop record
+    #: kind is counted in.
+    STAT_FIELDS = {"breaker_block": "breaker_short_circuits",
+                   "worker_failure": "worker_failures",
+                   "pool_restart": "pool_restarts", "retry": "retries",
+                   "fallback": "fallbacks"}
+
+    def _count_kind(self, kind: str) -> None:
+        self._count(**{self.STAT_FIELDS[kind]: 1})
 
     def _compile_in_worker(self, job: _Job):
-        """Dispatch one source compile onto the shared pool, with the
-        parallel runtime's retry/timeout discipline.  Returns the
-        artifact dict, or None to fall back to an inline compile.
+        """Dispatch one source compile onto the shared pool in the
+        shared worker-failure loop.  Returns the artifact dict, or None
+        to compile inline (a fallback, or a job that turned out not to
+        pickle).
 
-        The shared pool's circuit breaker was already consulted in
-        :meth:`_offloadable`; the re-check here catches a trip that
-        lands between that probe and the dispatch, refusing the offload
-        so the compile degrades to the inline path without touching the
-        pool.  Each attempt first charges the job's deadline (stage
+        Each attempt first charges the job's deadline (stage
         ``batch-offload``) and ships the remaining budget to the
-        worker; every infrastructure failure feeds the breaker, every
-        success resets it."""
-        from repro.backends.parallel import discard_pool, get_pool
-        from repro.faults import get_plan
-        from repro.obs.metrics import metrics
-        breaker = pool_breaker()
-        if not breaker.allow():
-            self._count(breaker_short_circuits=1, fallbacks=1)
-            metrics.counter("compile_batch.fallbacks").inc()
-            emit("batch.fallback", EVT_BATCH, compile_id=job.compile_id,
-                 function=job.fn.name, reason="breaker-open")
+        worker.  Deterministic compile errors raised in the worker
+        propagate to every handle of this fingerprint."""
+        try:
+            return retry_worker_failures(
+                "batch",
+                lambda attempt: self._offload_attempt(job, attempt),
+                lambda failure: None,
+                workers=self.workers,
+                max_retries=int(job.normalized.get("max_retries", 2)),
+                on_failure=job.normalized.get("on_worker_failure",
+                                              "fallback"),
+                count=self._count_kind, function=job.fn.name)
+        except _Unshippable:
             return None
+
+    def _offload_attempt(self, job: _Job, attempt: int):
+        """One submit/result round trip; raises
+        :class:`WorkerFailureError` for a dead pool or a missed budget
+        and :class:`_Unshippable` when the job does not pickle."""
+        from repro.backends.parallel import get_pool
+        from repro.faults import get_plan
         deadline = job.deadline
-        on_failure = job.normalized.get("on_worker_failure", "fallback")
-        retryable = on_failure != "raise"
-        max_retries = int(job.normalized.get("max_retries", 2))
-        attempts = 1 + (max_retries if retryable else 0)
-        delay = RETRY_BACKOFF
-        failure: Optional[WorkerFailureError] = None
-        for attempt in range(attempts):
-            if deadline is not None:
-                deadline.check("batch-offload")
-            pool = get_pool(self.workers)
-            if pool is None:
-                break
-            plan = get_plan()
-            if plan is not None \
-                    and plan.fires("pool-refusal", op="batch"):
-                failure = WorkerFailureError(
-                    f"batch compile of {job.fn.name!r}: the worker "
-                    f"pool refused the dispatch (injected)")
-            else:
-                remaining = (deadline.remaining()
-                             if deadline is not None else None)
-                try:
-                    future = pool.submit(_compile_source_job, job.fn,
-                                         job.target, job.options,
-                                         job.compile_id, remaining)
-                except Exception:  # noqa: BLE001 - submit-time pickling
-                    return None
-                try:
-                    artifact = future.result(timeout=remaining)
-                    breaker.record_success()
-                    return artifact
-                except FuturesTimeoutError:
-                    future.cancel()
-                    failure = WorkerFailureError(
-                        f"batch compile of {job.fn.name!r} exceeded "
-                        f"its {remaining:g}s budget (hung worker?)")
-                except BrokenProcessPool as exc:
-                    failure = WorkerFailureError(
-                        f"batch compile of {job.fn.name!r}: the worker "
-                        f"pool died ({exc})")
-                except pickle.PicklingError:
-                    return None
-            # Everything else is a deterministic compile error and
-            # propagates to every handle of this fingerprint.
-            breaker.record_failure()
-            self._count(worker_failures=1)
-            metrics.counter("compile_batch.worker_failures").inc()
-            emit("batch.worker_failure", EVT_BATCH,
-                 compile_id=job.compile_id, function=job.fn.name,
-                 attempt=attempt, error=str(failure))
-            discard_pool(self.workers)
-            self._count(pool_restarts=1)
-            metrics.counter("compile_batch.pool_restarts").inc()
-            emit("batch.pool_restart", EVT_BATCH,
-                 compile_id=job.compile_id, workers=self.workers)
-            if attempt + 1 < attempts:
-                self._count(retries=1)
-                metrics.counter("compile_batch.retries").inc()
-                emit("batch.retry", EVT_BATCH,
-                     compile_id=job.compile_id, function=job.fn.name,
-                     attempt=attempt + 1, backoff_seconds=delay)
-                time.sleep(delay)
-                delay *= 2
-                if get_pool(self.workers) is None:
-                    break  # the pool cannot come back on this host
-        if failure is not None and on_failure != "fallback":
-            raise failure
-        self._count(fallbacks=1)
-        metrics.counter("compile_batch.fallbacks").inc()
-        emit("batch.fallback", EVT_BATCH, compile_id=job.compile_id,
-             function=job.fn.name)
-        return None
+        if deadline is not None:
+            deadline.check("batch-offload")
+        pool = get_pool(self.workers)
+        if pool is None:
+            raise WorkerFailureError(
+                f"batch compile of {job.fn.name!r} has no active pool")
+        plan = get_plan()
+        if plan is not None and plan.fires("pool-refusal", op="batch"):
+            raise WorkerFailureError(
+                f"batch compile of {job.fn.name!r}: the worker pool "
+                f"refused the dispatch (injected)")
+        crash = plan is not None and plan.fires(
+            "worker-crash", attempt=attempt) is not None
+        remaining = deadline.remaining() if deadline is not None else None
+        try:
+            future = pool.submit(_compile_source_job, job.fn, job.target,
+                                 job.options, job.compile_id, remaining,
+                                 crash)
+        except Exception as exc:  # noqa: BLE001 - submit-time pickling
+            raise _Unshippable() from exc
+        try:
+            return future.result(timeout=remaining)
+        except FuturesTimeoutError:
+            future.cancel()
+            raise WorkerFailureError(
+                f"batch compile of {job.fn.name!r} exceeded its "
+                f"{remaining:g}s budget (hung worker?)") from None
+        except BrokenProcessPool as exc:
+            raise WorkerFailureError(
+                f"batch compile of {job.fn.name!r}: the worker pool "
+                f"died ({exc})") from exc
+        except pickle.PicklingError as exc:
+            raise _Unshippable() from exc
 
 
 def compile_batch(requests: Iterable, target: str = "cpu",

@@ -20,6 +20,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.obs.events import record
+
 from .stats import CacheStats
 
 DEFAULT_MAXSIZE = 64
@@ -78,11 +80,7 @@ class CompileCache:
         if entry.digest and source_digest(entry.source) != entry.digest:
             self._entries.pop(key, None)
             self.corruptions += 1
-            from repro.obs.metrics import metrics
-            metrics.counter("cache.corruption_misses").inc()
-            metrics.counter("compile_cache.memory.corrupt").inc()
-            from repro.obs.events import EVT_CACHE, emit
-            emit("cache.memory.corrupt", EVT_CACHE, key=key[:16])
+            record("cache.memory.corrupt", key=key[:16])
             return None
         self._entries.move_to_end(key)
         return entry
@@ -108,7 +106,7 @@ class CompileCache:
     def resize(self, maxsize: int) -> None:
         """Change the bound, shedding overflow through the same LRU
         eviction path ``put`` uses — least recently used first, each
-        eviction counted locally and in the metrics registry."""
+        eviction counted locally and recorded."""
         if maxsize < 1:
             raise ValueError("cache maxsize must be >= 1")
         self.maxsize = maxsize
@@ -117,23 +115,20 @@ class CompileCache:
     def _evict_to(self, maxsize: int) -> None:
         """The one eviction path (``put`` overflow and ``resize`` both
         land here): drop least-recently-used entries until the cache
-        fits, bumping the local counter and the
-        ``compile_cache.memory.evict`` metric per entry."""
-        from repro.obs.metrics import metrics
+        fits, bumping the local counter and recording
+        ``cache.memory.evict`` per entry."""
         while len(self._entries) > maxsize:
-            self._entries.popitem(last=False)
+            key, _ = self._entries.popitem(last=False)
             self.evictions += 1
-            metrics.counter("compile_cache.memory.evict").inc()
+            record("cache.memory.evict", key=key[:16])
 
-    def record_hit(self) -> None:
+    def record_hit(self, key: str) -> None:
         self.hits += 1
-        from repro.obs.metrics import metrics
-        metrics.counter("compile_cache.memory.hit").inc()
+        record("cache.memory.hit", key=key[:16])
 
-    def record_miss(self) -> None:
+    def record_miss(self, key: str) -> None:
         self.misses += 1
-        from repro.obs.metrics import metrics
-        metrics.counter("compile_cache.memory.miss").inc()
+        record("cache.memory.miss", key=key[:16])
 
     def keys(self):
         return list(self._entries)

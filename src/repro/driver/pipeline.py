@@ -30,10 +30,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.events import (EVT_CACHE, EVT_COMPILE, EVT_RESILIENCE,
-                              EVT_SEARCH, compile_context,
-                              current_compile_id, new_compile_id)
-from repro.obs.events import emit as emit_event
+from repro.obs.events import (compile_context, current_compile_id,
+                              new_compile_id, record)
 
 from .cache import CacheEntry, CompileCache, kernel_registry
 from .context import CompileContext
@@ -111,7 +109,7 @@ def enter_stage(stage: str) -> None:
     deadline = current_deadline()
     if deadline is not None:
         deadline.check(stage)
-        emit_event("resilience.stage.begin", EVT_RESILIENCE, stage=stage)
+        record("resilience.stage.begin", stage=stage)
     from repro.faults import get_plan
     plan = get_plan()
     if plan is not None:
@@ -232,7 +230,7 @@ class CompilePipeline:
             if current != ctx.fingerprint:
                 self.cache.discard(ctx.fingerprint)
                 return None
-        self.cache.record_hit()
+        self.cache.record_hit(ctx.fingerprint)
         return entry
 
     def _key_options(self, options: Dict[str, object]) -> Dict[str, object]:
@@ -295,9 +293,8 @@ class CompilePipeline:
         ctx = CompileContext(fn=fn, target=self.backend.name,
                              options=options, backend=self.backend,
                              report=report, deadline=current_deadline())
-        emit_event("compile.begin", EVT_COMPILE,
-                   compile_id=report.compile_id, function=fn.name,
-                   target=self.backend.name)
+        record("compile.begin", compile_id=report.compile_id,
+               function=fn.name, target=self.backend.name)
         with report.timed("ensure-params"):
             self._ensure_params(ctx)
         with report.timed("fingerprint"):
@@ -318,10 +315,9 @@ class CompilePipeline:
             plan = SchedulePlan.deserialize(ctx.options["autoschedule"])
             with ctx.report.timed("autoschedule"):
                 plan.apply(ctx.fn)
-            emit_event("search.plan_apply", EVT_SEARCH,
-                       compile_id=ctx.report.compile_id,
-                       function=ctx.fn.name,
-                       actions=len(getattr(plan, "actions", ()) or ()))
+            record("search.plan_apply", compile_id=ctx.report.compile_id,
+                   function=ctx.fn.name,
+                   actions=len(getattr(plan, "actions", ()) or ()))
         try:
             self._lower_and_emit_inner(ctx)
         finally:
@@ -370,7 +366,7 @@ class CompilePipeline:
         with report.timed("bind"):
             ctx.kernel = self.backend.bind(ctx)
         if bool(ctx.options["cache"]):
-            self.cache.record_miss()
+            self.cache.record_miss(ctx.fingerprint)
             self.cache.put(CacheEntry(key=ctx.fingerprint, fn=ctx.fn,
                                       target=self.backend.name,
                                       source=ctx.source,
@@ -409,15 +405,11 @@ class CompilePipeline:
         if use_cache:
             entry = self._cache_lookup(ctx)
             if entry is not None:
-                emit_event("cache.memory.hit", EVT_CACHE,
-                           key=ctx.fingerprint[:16])
                 report.cache_hit = True
                 report.source_size = len(entry.source)
                 if options["verbose"]:
                     print(entry.source)
                 return self._finish(ctx, entry.kernel)
-            emit_event("cache.memory.miss", EVT_CACHE,
-                       key=ctx.fingerprint[:16])
             disk = self._disk_tier()
             if disk is not None:
                 enter_stage("disk-load")
@@ -504,11 +496,10 @@ class CompilePipeline:
             verdict = "miss"
         from repro.obs.metrics import metrics
         metrics.histogram("compile.seconds").observe(report.total_seconds)
-        emit_event("compile.end", EVT_COMPILE,
-                   compile_id=report.compile_id, function=report.function,
-                   target=report.target, verdict=verdict,
-                   total_seconds=report.total_seconds,
-                   key=report.fingerprint[:16])
+        record("compile.end", compile_id=report.compile_id,
+               function=report.function, target=report.target,
+               verdict=verdict, total_seconds=report.total_seconds,
+               key=report.fingerprint[:16])
         emit_trace(ctx.report)
         from repro.obs.tracer import get_tracer
         tracer = get_tracer()

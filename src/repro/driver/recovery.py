@@ -115,9 +115,7 @@ def sweep(cache, *, tmp_grace: float = DEFAULT_TMP_GRACE,
     event journal); returns what was done.  Safe to run concurrently
     with live traffic — it only touches files no correct writer still
     needs."""
-    from repro.obs.events import (EVT_RESILIENCE, emit, event_log_path,
-                                  repair_journal)
-    from repro.obs.metrics import metrics
+    from repro.obs.events import event_log_path, record, repair_journal
     now = time.time()
     report = RecoveryReport(root=str(cache.root))
     report.tmp_removed = _sweep_tmp(cache.root, tmp_grace, now)
@@ -127,18 +125,18 @@ def sweep(cache, *, tmp_grace: float = DEFAULT_TMP_GRACE,
     if journal is not None:
         report.journal_bytes_truncated = repair_journal(journal)
     if report.tmp_removed:
-        metrics.counter("resilience.recovery.tmp_removed").inc(
-            report.tmp_removed)
+        record("resilience.recovery.tmp_removed", n=report.tmp_removed)
     if report.quarantine_removed:
-        metrics.counter("resilience.recovery.quarantine_removed").inc(
-            report.quarantine_removed)
+        record("resilience.recovery.quarantine_removed",
+               n=report.quarantine_removed)
     if report.journal_bytes_truncated:
-        metrics.counter("resilience.recovery.journal_repairs").inc()
+        record("resilience.recovery.journal_repairs",
+               bytes=report.journal_bytes_truncated)
     if report.total_repairs:
-        emit("resilience.recovery.sweep", EVT_RESILIENCE,
-             root=report.root, tmp_removed=report.tmp_removed,
-             quarantine_removed=report.quarantine_removed,
-             journal_bytes_truncated=report.journal_bytes_truncated)
+        record("resilience.recovery.sweep", root=report.root,
+               tmp_removed=report.tmp_removed,
+               quarantine_removed=report.quarantine_removed,
+               journal_bytes_truncated=report.journal_bytes_truncated)
     return report
 
 

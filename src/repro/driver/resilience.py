@@ -1,5 +1,5 @@
-"""Self-protection primitives for the compile service: deadlines and
-the worker-pool circuit breaker.
+"""Self-protection primitives for the compile service: deadlines, the
+worker-pool circuit breaker, and the one worker-failure loop.
 
 PR 4 and PR 6 built the *reactive* half of a serving stack — retry,
 digest verification, quarantine.  This module is the *proactive* half:
@@ -27,6 +27,13 @@ digest verification, quarantine.  This module is the *proactive* half:
   first failure re-opens it for another cooldown.  Every transition is
   journaled (``resilience.breaker.*``) and counted.
 
+* :func:`retry_worker_failures` — the retry / pool-restart / backoff /
+  fallback loop every user of the shared pool runs its attempts in:
+  the parallel runtime (one region's chunks), the task-graph runtime
+  (one tile DAG) and the batch front end (one compile offload).  It
+  feeds the breaker, and :func:`breaker_refuses` is the probe each of
+  them makes before offloading at all.
+
 Knobs: ``TIRAMISU_BREAKER_THRESHOLD`` (consecutive failures to trip,
 default 3) and ``TIRAMISU_BREAKER_COOLDOWN`` (seconds open before the
 half-open probe, default 30).  See docs/robustness.md.
@@ -39,11 +46,10 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.core.errors import DeadlineExceededError
-from repro.obs.events import EVT_RESILIENCE
-from repro.obs.events import emit as emit_event
+from repro.core.errors import DeadlineExceededError, WorkerFailureError
+from repro.obs.events import record
 
 BREAKER_THRESHOLD_ENV = "TIRAMISU_BREAKER_THRESHOLD"
 BREAKER_COOLDOWN_ENV = "TIRAMISU_BREAKER_COOLDOWN"
@@ -90,10 +96,8 @@ class Deadline:
         therefore never begins)."""
         if not self.expired():
             return
-        from repro.obs.metrics import metrics
-        metrics.counter("resilience.deadline.exceeded").inc()
-        emit_event("resilience.deadline.exceeded", EVT_RESILIENCE,
-                   stage=stage, budget_seconds=self.budget)
+        record("resilience.deadline.exceeded", stage=stage,
+               budget_seconds=self.budget)
         raise DeadlineExceededError(
             f"compile budget of {self.budget:g}s exhausted before stage "
             f"{stage!r}", stage=stage, budget=self.budget)
@@ -207,15 +211,9 @@ class CircuitBreaker:
             else:
                 allowed = True
         if transition is not None:
-            from repro.obs.metrics import metrics
-            metrics.counter("resilience.breaker.half_open").inc()
-            emit_event("resilience.breaker.half_open", EVT_RESILIENCE,
-                       breaker=self.name)
+            record("resilience.breaker.half_open", breaker=self.name)
         elif not allowed:
-            from repro.obs.metrics import metrics
-            metrics.counter("resilience.breaker.short_circuit").inc()
-            emit_event("resilience.breaker.short_circuit", EVT_RESILIENCE,
-                       breaker=self.name)
+            record("resilience.breaker.short_circuit", breaker=self.name)
         return allowed
 
     def record_success(self) -> None:
@@ -229,10 +227,7 @@ class CircuitBreaker:
                 self._transition(STATE_CLOSED)
                 closed = True
         if closed:
-            from repro.obs.metrics import metrics
-            metrics.counter("resilience.breaker.close").inc()
-            emit_event("resilience.breaker.close", EVT_RESILIENCE,
-                       breaker=self.name)
+            record("resilience.breaker.close", breaker=self.name)
 
     def record_failure(self) -> None:
         """A pool interaction failed (infrastructure, not application):
@@ -251,12 +246,9 @@ class CircuitBreaker:
                 self._transition(STATE_OPEN)
                 opened = True
         if opened:
-            from repro.obs.metrics import metrics
-            metrics.counter("resilience.breaker.open").inc()
-            emit_event("resilience.breaker.open", EVT_RESILIENCE,
-                       breaker=self.name,
-                       consecutive_failures=self._consecutive_failures,
-                       cooldown_seconds=self.cooldown)
+            record("resilience.breaker.open", breaker=self.name,
+                   consecutive_failures=self._consecutive_failures,
+                   cooldown_seconds=self.cooldown)
 
     def trip(self) -> None:
         """Force the breaker open now (tests, manual load shedding)."""
@@ -264,11 +256,8 @@ class CircuitBreaker:
             self.opens += 1
             self._opened_at = time.monotonic()
             self._transition(STATE_OPEN)
-        from repro.obs.metrics import metrics
-        metrics.counter("resilience.breaker.open").inc()
-        emit_event("resilience.breaker.open", EVT_RESILIENCE,
-                   breaker=self.name, forced=True,
-                   cooldown_seconds=self.cooldown)
+        record("resilience.breaker.open", breaker=self.name, forced=True,
+               cooldown_seconds=self.cooldown)
 
     def reset(self) -> None:
         """Back to a pristine closed breaker (state and counters)."""
@@ -321,3 +310,92 @@ def reset_pool_breaker() -> None:
     global _pool_breaker
     with _pool_breaker_lock:
         _pool_breaker = None
+
+
+# -- the worker-failure loop -------------------------------------------------
+
+#: Seconds slept before the first retry of a failed pool dispatch; the
+#: wait doubles with every further retry.
+RETRY_BACKOFF = 0.05
+
+
+def breaker_refuses(prefix: str, count: Callable[[str], None],
+                    **fields) -> bool:
+    """Probe the pool breaker before an offload.  A refusal is recorded
+    as ``<prefix>.breaker_block`` and counted on the caller's stats
+    through ``count("breaker_block")``; the caller then runs its work
+    inline."""
+    if pool_breaker().allow():
+        return False
+    count("breaker_block")
+    record(f"{prefix}.breaker_block", **fields)
+    return True
+
+
+def retry_worker_failures(prefix: str, attempt: Callable[[int], object],
+                          fallback: Callable[[WorkerFailureError], object],
+                          *, workers: int, max_retries: int,
+                          on_failure: str, count: Callable[[str], None],
+                          restore: Optional[Callable[[], None]] = None,
+                          **fields):
+    """Run ``attempt(i)`` against the shared pool of ``workers`` until
+    one succeeds, and return its result.
+
+    ``attempt`` raises :class:`WorkerFailureError` for an
+    infrastructure failure (a dead pool, a missed deadline); anything
+    else it raises is an application error and propagates untouched.
+    After a failure the breaker counts it, the pool is discarded,
+    ``restore`` puts the shared buffers back, and after a backoff
+    (:data:`RETRY_BACKOFF`, doubling) the next attempt runs — at most
+    ``1 + max_retries`` attempts, a single one with
+    ``on_failure="raise"``, fewer when the pool cannot come back.
+    Then ``on_failure="fallback"`` returns ``fallback(failure)``;
+    ``"retry"`` and ``"raise"`` raise the last failure.
+
+    Each step is recorded as ``<prefix>.worker_failure`` /
+    ``.pool_restart`` / ``.retry`` / ``.fallback`` with ``fields`` and
+    counted on the caller's stats through ``count(kind)``.  A failure
+    also flushes the trace file eagerly: a run that is losing workers
+    may not live to the exit handler, and the export is atomic."""
+    from repro.backends.parallel import discard_pool, get_pool
+    from repro.obs.tracer import write_trace_file
+    breaker = pool_breaker()
+    attempts = 1 + (max_retries if on_failure != "raise" else 0)
+    delay = RETRY_BACKOFF
+    failure: Optional[WorkerFailureError] = None
+
+    def note(kind: str, **extra) -> None:
+        count(kind)
+        record(f"{prefix}.{kind}", **extra, **fields)
+
+    for i in range(attempts):
+        try:
+            result = attempt(i)
+        except WorkerFailureError as exc:
+            failure = exc
+        else:
+            breaker.record_success()
+            return result
+        breaker.record_failure()
+        note("worker_failure", attempt=i, error=str(failure))
+        discard_pool(workers)
+        note("pool_restart", workers=workers)
+        if restore is not None:
+            restore()
+        last = i + 1 == attempts
+        if not last:
+            note("retry", attempt=i + 1, backoff_seconds=delay)
+        try:
+            write_trace_file()
+        except OSError:
+            pass  # telemetry must never take the run down
+        if last:
+            break
+        time.sleep(delay)
+        delay *= 2
+        if get_pool(workers) is None:
+            break  # the pool cannot come back on this host
+    if on_failure != "fallback":
+        raise failure
+    note("fallback", error=str(failure))
+    return fallback(failure)

@@ -59,7 +59,9 @@ def tiramisu_cpu(bundle) -> None:
         _vector_parallel(c["ring"], "ir", "jr")
         _vector_parallel(c["roberts"], "i", "j")
     elif name == "ticket2373":
-        c["a"].parallelize("r")
+        # Every r <= x writes A[x]: r carries an output dependence, x
+        # carries none, so x is the parallel level.
+        c["a"].parallelize("x")
     else:
         raise ValueError(name)
 
@@ -107,7 +109,7 @@ def pencil_cpu(bundle) -> None:
         "warpAffine": [("warp", "i")],
         "nb": [(f"s{s}", f"i{s}") for s in range(4)],
         "edgeDetector": [("ring", "ir"), ("roberts", "i")],
-        "ticket2373": [("a", "r")],
+        "ticket2373": [("a", "x")],
     }[name]
     if name == "nb":
         # Pluto fuses the four same-buffer stages (legal; its dependence

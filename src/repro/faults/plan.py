@@ -6,7 +6,8 @@ description of which faults fire where:
 
 * ``worker-crash`` / ``worker-hang`` — a pool worker executing one
   chunk of a parallel region dies (``os._exit``) or stalls, addressed
-  by ``(region, chunk, attempt)``;
+  by ``(region, chunk, attempt)``; a batch compile offload's worker
+  can be crashed too, addressed by ``attempt`` alone;
 * ``rank-crash`` / ``rank-hang`` — a simulated MPI rank raises on
   entry, or stalls before running, addressed by ``rank``;
 * ``message-drop`` / ``message-corrupt`` — a message on one simulated
@@ -139,7 +140,9 @@ class FaultPlan:
                      times: int = 1) -> "FaultPlan":
         """Kill the pool worker executing ``chunk`` of parallel region
         ``region`` (chunk index == worker slot; ``attempt`` addresses a
-        specific retry)."""
+        specific retry).  A batch compile offload presents only
+        ``attempt``, so a spec naming a region or chunk never fires
+        there."""
         return self._add("worker-crash", {"chunk": chunk, "region": region,
                                           "attempt": attempt}, times)
 
@@ -227,11 +230,11 @@ class FaultPlan:
                     hit = spec
                     break
         if hit is not None:
-            # Journal outside the lock: emit serializes and writes, and
-            # runtimes probe fires() on hot paths.
-            from repro.obs.events import EVT_FAULT, emit
-            emit("fault.injected", EVT_FAULT, kind=kind,
-                 site={k: v for k, v in coords.items() if v is not None})
+            # Record outside the lock: the journal serializes and
+            # writes, and runtimes probe fires() on hot paths.
+            from repro.obs.events import record
+            record("fault.injected", kind=kind,
+                   site={k: v for k, v in coords.items() if v is not None})
         return hit
 
     def fired(self, kind: Optional[str] = None) -> int:

@@ -15,7 +15,9 @@ Three cooperating pieces (see docs/observability.md):
 * :mod:`repro.obs.events` — an append-only structured JSONL event
   journal (``TIRAMISU_EVENT_LOG``) with a per-compile correlation id
   threaded through the driver, cache tiers, batch front end, fault
-  paths and autoscheduler search;
+  paths and autoscheduler search, and :func:`record`, the one call
+  every producer reports a fact through (counter + journal line +
+  timeline marker);
 * :mod:`repro.obs.export` — OpenMetrics/Prometheus text and JSON
   snapshot writers over the registry (``TIRAMISU_METRICS_FILE``), with
   an optional periodic background flusher
@@ -28,7 +30,7 @@ Three cooperating pieces (see docs/observability.md):
 from .events import (EVENT_LOG_ENV, EventJournal, compile_context,
                      configure_event_log, current_compile_id, emit,
                      event_log_path, events_enabled, new_compile_id,
-                     read_events, reset_event_log_configuration)
+                     read_events, record, reset_event_log_configuration)
 from .export import (METRICS_FILE_ENV, METRICS_INTERVAL_ENV,
                      MetricsFlusher, metrics_file_path, parse_openmetrics,
                      render_json, render_openmetrics, start_flusher,
@@ -37,13 +39,12 @@ from .metrics import (Counter, Gauge, Histogram, MetricNameError,
                       MetricsRegistry, metrics)
 from .runreport import (CompRecord, RunCollector, RunReport,
                         build_run_report)
-from .tracer import (CAT_COMPILE, CAT_FAULT, CAT_LOOP, CAT_PARALLEL,
-                     CAT_WORKER, Span, TRACE_FILE_ENV, Tracer, get_tracer,
-                     trace_file_path, write_trace_file)
+from .tracer import (CAT_COMPILE, CAT_LOOP, CAT_PARALLEL, CAT_WORKER, Span,
+                     TRACE_FILE_ENV, Tracer, get_tracer, trace_file_path,
+                     write_trace_file)
 
 __all__ = [
     "CAT_COMPILE",
-    "CAT_FAULT",
     "CAT_LOOP",
     "CAT_PARALLEL",
     "CAT_WORKER",
@@ -76,6 +77,7 @@ __all__ = [
     "new_compile_id",
     "parse_openmetrics",
     "read_events",
+    "record",
     "render_json",
     "render_openmetrics",
     "reset_event_log_configuration",

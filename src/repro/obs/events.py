@@ -12,8 +12,8 @@ JSON object per line to the file named by ``TIRAMISU_EVENT_LOG``.
 Each line carries:
 
 * ``name`` — dotted event name (``compile.begin``, ``batch.retry``, ...);
-* ``cat`` — producer category (``compile`` / ``cache`` / ``batch`` /
-  ``parallel`` / ``fault`` / ``search``);
+* ``cat`` — producer category, the name's first dotted component
+  (``compile``, ``cache``, ``batch``, ``parallel``, ``fault``, ...);
 * ``wall`` — ``time.time()`` (epoch seconds, for humans and log joins);
 * ``mono_ns`` — ``time.perf_counter_ns()`` (the tracer's clock, so
   journal lines interleave correctly with trace spans);
@@ -39,6 +39,12 @@ never partial ones.
 Activation mirrors the tracer: set ``TIRAMISU_EVENT_LOG=events.jsonl``
 in the environment, or pin programmatically with
 :func:`configure_event_log`.  With neither, ``emit`` is a cheap no-op.
+
+**One record per fact.**  Producers outside :mod:`repro.obs` never
+call ``emit`` or bump a counter for a fact themselves: they call
+:func:`record`, which counts the fact in the metrics registry under
+its name, journals it, and marks it on the tracer timeline.  The
+names are inventoried in docs/observability.md.
 """
 
 from __future__ import annotations
@@ -52,16 +58,10 @@ import uuid
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-EVENT_LOG_ENV = "TIRAMISU_EVENT_LOG"
+from .metrics import metrics
+from .tracer import get_tracer
 
-#: Event categories used by the built-in producers.
-EVT_COMPILE = "compile"
-EVT_CACHE = "cache"
-EVT_BATCH = "batch"
-EVT_PARALLEL = "parallel"
-EVT_FAULT = "fault"
-EVT_SEARCH = "search"
-EVT_RESILIENCE = "resilience"
+EVENT_LOG_ENV = "TIRAMISU_EVENT_LOG"
 
 
 # -- correlation --------------------------------------------------------------
@@ -209,11 +209,11 @@ def _active_journal() -> Optional[EventJournal]:
     return _journal
 
 
-def emit(name: str, cat: str, compile_id: Optional[str] = None,
-         **fields) -> bool:
+def emit(name: str, compile_id: Optional[str] = None, **fields) -> bool:
     """Append one event; a no-op (returning False) when no journal is
-    active.  ``compile_id=None`` inherits the ambient
-    :func:`compile_context` id."""
+    active.  The line's ``cat`` is the name's first dotted component;
+    ``compile_id=None`` inherits the ambient :func:`compile_context`
+    id."""
     journal = _active_journal()
     if journal is None:
         return False
@@ -221,13 +221,29 @@ def emit(name: str, cat: str, compile_id: Optional[str] = None,
         compile_id = _COMPILE_ID.get()
     return journal.write({
         "name": name,
-        "cat": cat,
+        "cat": name.split(".", 1)[0],
         "wall": time.time(),
         "mono_ns": time.perf_counter_ns(),
         "pid": os.getpid(),
         "compile_id": compile_id,
         "fields": fields,
     })
+
+
+def record(name: str, n: float = 1, compile_id: Optional[str] = None,
+           **fields) -> None:
+    """Report ``n`` occurrences of the fact ``name``: add ``n`` to the
+    counter of that name, append the journal line ``name`` when a
+    journal is active, and drop a zero-length marker span on the
+    tracer timeline when tracing is on.  The one producer call for
+    facts; pure measurements (histograms, gauges, byte volumes) go to
+    the registry directly."""
+    metrics.counter(name).inc(n)
+    emit(name, compile_id=compile_id, **fields)
+    tracer = get_tracer()
+    if tracer.enabled():
+        now = time.perf_counter_ns()
+        tracer.add_span(name, name.split(".", 1)[0], now, now, **fields)
 
 
 def read_journal(path: str):

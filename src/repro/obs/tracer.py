@@ -1,12 +1,14 @@
 """Span-based tracing across compile and run (one timeline).
 
-The tracer collects :class:`Span` records from three producers —
+The tracer collects :class:`Span` records from its producers —
 compile-pipeline stages (re-using :class:`repro.driver.trace.
 CompileReport` timings), runtime loop-nest spans emitted by profiled
 kernels, and parallel-worker chunk spans reported back by the worker
-pool — and exports them in the Chrome-trace (Perfetto) JSON event
-format, so ``chrome://tracing`` or https://ui.perfetto.dev can render
-compile and execution on one timeline.
+pool, plus a zero-length marker for every fact reported through
+:func:`repro.obs.events.record` — and exports them in the Chrome-trace
+(Perfetto) JSON event format, so ``chrome://tracing`` or
+https://ui.perfetto.dev can render compile and execution on one
+timeline.
 
 Enabling: set ``TIRAMISU_TRACE_FILE=out.json`` in the environment (the
 file is written at interpreter exit, or eagerly via
@@ -38,7 +40,6 @@ CAT_COMPILE = "compile-stage"
 CAT_LOOP = "loop-nest"
 CAT_PARALLEL = "parallel"
 CAT_WORKER = "worker"
-CAT_FAULT = "fault"  # retries, pool restarts, fallbacks, injected faults
 
 
 @dataclass

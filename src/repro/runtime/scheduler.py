@@ -2,8 +2,10 @@
 
 :class:`TaskGraphRuntime` extends the fork-join
 :class:`~repro.backends.parallel.ParallelRuntime` (it reuses the shared
-process pool, the shared-memory staging, the snapshot-restore retry
-machinery and the pool circuit breaker) with a dependence-aware
+process pool, the shared-memory staging and snapshot, the pool circuit
+breaker and the worker-failure loop
+:func:`~repro.driver.resilience.retry_worker_failures`) with a
+dependence-aware
 scheduler: instead of dispatching one loop's chunks and waiting on all
 of them, it dispatches every *ready* tile of the task DAG and hands a
 tile's successors to the pool the moment their last predecessor
@@ -21,9 +23,11 @@ inputs in the same intra-tile order), with exponential backoff up to
 ``max_retries``; when the pool keeps dying ``on_worker_failure``
 decides between raising and declining — a declined graph returns
 ``False`` to the emitted dispatch preamble, which falls through to the
-unchanged sequential nest.  Every dispatch round first charges the
-ambient request :class:`~repro.driver.resilience.Deadline`, so an
-expired budget fails between tiles, never mid-submit.
+unchanged sequential nest.  The loop records its steps under the
+``taskgraph.`` prefix (``taskgraph.worker_failure``, ``.retry``, ...).
+Every dispatch round first charges the ambient request
+:class:`~repro.driver.resilience.Deadline`, so an expired budget fails
+between tiles, never mid-submit.
 """
 
 from __future__ import annotations
@@ -40,11 +44,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.parallel import (ParallelRuntime, _load_namespace,
-                                     discard_pool, get_pool)
+from repro.backends.parallel import ParallelRuntime, _load_namespace, get_pool
 from repro.core.errors import ExecutionError, WorkerFailureError
-from repro.obs.events import EVT_PARALLEL
-from repro.obs.events import emit as emit_event
+from repro.obs.events import record
 
 from .taskgraph import TaskGraph, TaskGraphUnavailable, build_task_graph
 
@@ -136,7 +138,6 @@ class TaskGraphRuntime(ParallelRuntime):
                   ) -> Tuple[Optional[TaskGraph], Optional[str]]:
         """The (cached) tile DAG for this parameter valuation, or
         ``(None, reason)`` when the schedule cannot be lowered."""
-        from repro.obs.metrics import metrics
         key = tuple(sorted(params.items()))
         entry = self._graphs.get(key)
         if entry is None:
@@ -148,14 +149,12 @@ class TaskGraphRuntime(ParallelRuntime):
                 entry = (None, exc.reason)
             else:
                 entry = (graph, None)
-                metrics.counter("taskgraph.graphs").inc()
-                emit_event("taskgraph.schedule", EVT_PARALLEL,
-                           function=self.fn.name, tiles=len(graph.tasks),
-                           shape=list(graph.shape),
-                           tile_sizes=list(graph.tile_sizes),
-                           deltas=[list(d) for d in graph.deltas],
-                           edges=graph.edge_count,
-                           max_width=graph.max_width, depth=graph.depth)
+                record("taskgraph.schedule", function=self.fn.name,
+                       tiles=len(graph.tasks), shape=list(graph.shape),
+                       tile_sizes=list(graph.tile_sizes),
+                       deltas=[list(d) for d in graph.deltas],
+                       edges=graph.edge_count, max_width=graph.max_width,
+                       depth=graph.depth)
             self._graphs[key] = entry
         return entry
 
@@ -165,22 +164,20 @@ class TaskGraphRuntime(ParallelRuntime):
         """Execute the whole nest as a tile DAG; ``True`` means done
         (results are in the shared staging buffers), ``False`` declines
         and the emitted preamble runs the sequential nest instead."""
-        from repro.driver.resilience import pool_breaker
-        from repro.obs.metrics import metrics
+        from repro.driver.resilience import (breaker_refuses,
+                                             retry_worker_failures)
         if self._specs is None or not self.enabled():
             return self._decline("pool-unavailable")
-        breaker = pool_breaker()
-        if not breaker.allow():
-            self.stats.breaker_blocks += 1
-            metrics.counter("parallel.breaker_blocks").inc()
+        if breaker_refuses("taskgraph", self._count,
+                           function=self.fn.name):
             return self._decline("breaker-open")
         graph, why = self.graph_for(params)
         if graph is None:
             return self._decline(why or "unavailable")
         if graph.is_empty():
             # Zero iterations: the sequential nest would be a no-op too.
-            emit_event("taskgraph.complete", EVT_PARALLEL,
-                       function=self.fn.name, tiles=0, mode="empty")
+            record("taskgraph.complete", function=self.fn.name, tiles=0,
+                   mode="empty")
             return True
         if len(graph.tasks) < 2:
             return self._decline("single-tile")
@@ -189,63 +186,36 @@ class TaskGraphRuntime(ParallelRuntime):
         self.taskgraph_stats.last_width = graph.max_width
         region = self.stats.regions
         self.stats.regions += 1
-        # Whole-graph snapshot: tiles may be half-written when a worker
-        # dies; every retry (and the final sequential fallback) starts
-        # from these clean buffers, keeping results bit-identical.
-        retryable = self.on_worker_failure != "raise"
-        snapshot = None
-        if retryable and self._views is not None:
-            snapshot = {name: np.array(view, copy=True)
-                        for name, view in self._views.items()}
-        attempts = 1 + (self.max_retries if retryable else 0)
-        delay = self.retry_backoff
-        failure: Optional[WorkerFailureError] = None
-        for attempt in range(attempts):
-            try:
-                self._execute_graph(graph, params, region, attempt)
-                breaker.record_success()
-                return True
-            except WorkerFailureError as exc:
-                failure = exc
-                breaker.record_failure()
-                metrics.counter("parallel.worker_failures").inc()
-                discard_pool(self.num_threads)
-                self.stats.pool_restarts += 1
-                metrics.counter("parallel.pool_restarts").inc()
-                if snapshot is not None:
-                    for name, saved in snapshot.items():
-                        self._views[name][...] = saved
-                if attempt + 1 < attempts:
-                    self.stats.retries += 1
-                    self.taskgraph_stats.retries += 1
-                    metrics.counter("taskgraph.retries").inc()
-                    emit_event("taskgraph.retry", EVT_PARALLEL,
-                               region=region, attempt=attempt + 1,
-                               backoff_seconds=delay, error=str(exc))
-                    self._trace_fault("taskgraph:retry",
-                                      attempt=attempt + 1,
-                                      reason=str(exc))
-                    time.sleep(delay)
-                    delay *= 2
-                    if get_pool(self.num_threads) is None:
-                        break  # the pool cannot come back on this host
-        if self.on_worker_failure == "fallback":
-            if snapshot is not None:
-                for name, saved in snapshot.items():
-                    self._views[name][...] = saved
-            self.stats.sequential_fallbacks += 1
-            self._trace_fault("taskgraph:fallback", region=region,
-                              reason=str(failure))
-            return self._decline("worker-failure", error=str(failure))
-        raise failure
 
-    def _decline(self, reason: str, **fields) -> bool:
-        from repro.obs.metrics import metrics
+        def attempt(i: int) -> bool:
+            self._execute_graph(graph, params, region, i)
+            return True
+
+        # Whole-graph snapshot: tiles may be half-written when a worker
+        # dies; every retry and the final sequential fallback start
+        # from these clean buffers, keeping results bit-identical.
+        return retry_worker_failures(
+            "taskgraph", attempt,
+            lambda failure: self._declined("worker-failure"),
+            workers=self.num_threads, max_retries=self.max_retries,
+            on_failure=self.on_worker_failure, count=self._count,
+            restore=self._snapshot_restore(), function=self.fn.name,
+            region=region)
+
+    def _count(self, kind: str) -> None:
+        super()._count(kind)
+        if kind == "retry":
+            self.taskgraph_stats.retries += 1
+
+    def _decline(self, reason: str) -> bool:
+        record("taskgraph.fallback", function=self.fn.name, reason=reason)
+        return self._declined(reason)
+
+    def _declined(self, reason: str) -> bool:
+        """Account a declined graph; ``False`` sends the emitted
+        preamble to the sequential nest."""
         self.taskgraph_stats.fallbacks += 1
         self.taskgraph_stats.last_reason = reason
-        metrics.counter("taskgraph.fallbacks").inc()
-        emit_event("taskgraph.fallback", EVT_PARALLEL,
-                   function=self.fn.name, reason=reason, **fields)
         return False
 
     # -- one execution attempt -------------------------------------------
@@ -306,10 +276,9 @@ class TaskGraphRuntime(ParallelRuntime):
                             f"task graph: the worker pool died during "
                             f"dispatch ({exc})") from exc
                     futures[fut] = task
-                    emit_event("taskgraph.task.dispatch", EVT_PARALLEL,
-                               task=task.index, coords=list(task.coords),
-                               ready=len(ready), inflight=len(futures),
-                               attempt=attempt)
+                    record("taskgraph.task.dispatch", task=task.index,
+                           coords=list(task.coords), ready=len(ready),
+                           inflight=len(futures), attempt=attempt)
                 if not futures:
                     if forkjoin and barrier_held:
                         ready.extend(sorted(barrier_held))
@@ -345,8 +314,8 @@ class TaskGraphRuntime(ParallelRuntime):
                     metrics.histogram("taskgraph.task_seconds").observe(
                         seconds)
                     self._tile_span(task, t0, t1, pid)
-                    emit_event("taskgraph.task.done", EVT_PARALLEL,
-                               task=task.index, seconds=seconds, pid=pid)
+                    record("taskgraph.task.done", task=task.index,
+                           seconds=seconds, pid=pid)
                     for succ in task.succs:
                         indeg[succ] -= 1
                         if indeg[succ] == 0:
@@ -369,11 +338,9 @@ class TaskGraphRuntime(ParallelRuntime):
         metrics.counter("taskgraph.tasks").inc(finished)
         if wall > 0:
             metrics.gauge("taskgraph.last_parallelism").set(busy / wall)
-        emit_event("taskgraph.complete", EVT_PARALLEL,
-                   function=self.fn.name, tiles=finished,
-                   mode=self.scheduler_mode, wall_seconds=wall,
-                   busy_seconds=busy, attempt=attempt,
-                   workers=self.num_threads)
+        record("taskgraph.complete", function=self.fn.name, tiles=finished,
+               mode=self.scheduler_mode, wall_seconds=wall,
+               busy_seconds=busy, attempt=attempt, workers=self.num_threads)
         self._graph_span(graph, start_ns, wall, finished)
 
     # -- tracer hooks -----------------------------------------------------

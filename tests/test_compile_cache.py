@@ -199,7 +199,7 @@ class TestLRUBound:
         # skipping the eviction counters/metrics and (for multi-entry
         # sheds) the LRU discipline.  Both paths now land in _evict_to:
         # the survivors, their order, the local counter and the
-        # compile_cache.memory.evict metric must be identical.
+        # cache.memory.evict metric must be identical.
         from repro.driver.cache import CacheEntry
         from repro.obs.metrics import metrics
 
@@ -216,7 +216,7 @@ class TestLRUBound:
         via_put.maxsize = 2
         via_put.put(CacheEntry(key="k5", fn=None, target="cpu",
                                source="", kernel=object()))
-        put_metric = metrics.counter("compile_cache.memory.evict").value
+        put_metric = metrics.counter("cache.memory.evict").value
 
         metrics.reset()
         via_resize = CompileCache(maxsize=4)
@@ -224,7 +224,7 @@ class TestLRUBound:
         via_resize.resize(2)
         via_resize.put(CacheEntry(key="k5", fn=None, target="cpu",
                                   source="", kernel=object()))
-        resize_metric = metrics.counter("compile_cache.memory.evict").value
+        resize_metric = metrics.counter("cache.memory.evict").value
 
         assert via_put.keys() == via_resize.keys() == ["k2", "k5"]
         assert via_put.evictions == via_resize.evictions == 3
@@ -241,7 +241,7 @@ class TestLRUBound:
                                  source="", kernel=object()))
         cache.resize(2)
         assert cache.evictions == 4
-        assert metrics.counter("compile_cache.memory.evict").value == 4
+        assert metrics.counter("cache.memory.evict").value == 4
         # LRU discipline: the two most recently used keys survive.
         assert cache.keys() == ["k4", "k5"]
 

@@ -26,10 +26,10 @@ from repro.faults import FaultPlan, injected
 from repro.obs import bench as obs_bench
 from repro.obs import export as obs_export
 from repro.obs import metrics
-from repro.obs.events import (EVT_COMPILE, EventJournal, compile_context,
+from repro.obs.events import (EventJournal, compile_context,
                               configure_event_log, current_compile_id,
                               emit, event_log_path, events_enabled,
-                              new_compile_id, read_events,
+                              new_compile_id, read_events, record,
                               reset_event_log_configuration)
 
 REPO = Path(__file__).resolve().parent.parent
@@ -110,29 +110,50 @@ class TestCompileIds:
 class TestJournal:
     def test_emit_is_noop_when_disabled(self):
         assert not events_enabled()
-        assert emit("nobody.home", EVT_COMPILE) is False
+        assert emit("nobody.home") is False
 
     def test_round_trip_preserves_schema(self, tmp_path):
         path = tmp_path / "events.jsonl"
         configure_event_log(str(path))
-        assert emit("unit.test", "compile", answer=42, label="x")
-        assert emit("unit.test2", "cache")
+        assert emit("unit.test", answer=42, label="x")
+        assert emit("unit.test2")
         events = read_events(str(path))
         assert [e["name"] for e in events] == ["unit.test", "unit.test2"]
         first = events[0]
-        assert first["cat"] == "compile"
+        assert first["cat"] == "unit"     # the name's first component
         assert first["fields"] == {"answer": 42, "label": "x"}
         assert first["pid"] == os.getpid()
         assert first["wall"] > 0 and first["mono_ns"] > 0
         assert first["compile_id"] is None
 
+    def test_record_counts_journals_and_marks(self, tmp_path):
+        from repro.obs import get_tracer
+        path = tmp_path / "events.jsonl"
+        configure_event_log(str(path))
+        tracer = get_tracer()
+        tracer.clear()
+        tracer.set_enabled(True)
+        before = metrics.counter("unit.fact").value
+        try:
+            record("unit.fact", n=3, detail="x")
+            (marker,) = tracer.spans()
+        finally:
+            tracer.set_enabled(None)
+            tracer.clear()
+        assert metrics.counter("unit.fact").value == before + 3
+        (line,) = read_events(str(path))
+        assert (line["name"], line["cat"], line["fields"]) \
+            == ("unit.fact", "unit", {"detail": "x"})
+        assert (marker.name, marker.cat, marker.dur_ns, marker.args) \
+            == ("unit.fact", "unit", 0, {"detail": "x"})
+
     def test_env_var_activates_and_repoints(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         monkeypatch.setenv("TIRAMISU_EVENT_LOG", str(a))
         assert event_log_path() == str(a)
-        emit("to.a", "compile")
+        emit("to.a")
         monkeypatch.setenv("TIRAMISU_EVENT_LOG", str(b))
-        emit("to.b", "compile")
+        emit("to.b")
         assert [e["name"] for e in read_events(str(a))] == ["to.a"]
         assert [e["name"] for e in read_events(str(b))] == ["to.b"]
 
@@ -142,21 +163,21 @@ class TestJournal:
                            str(tmp_path / "env.jsonl"))
         pinned = tmp_path / "pinned.jsonl"
         configure_event_log(str(pinned))
-        emit("pinned.event", "compile")
+        emit("pinned.event")
         assert [e["name"] for e in read_events(str(pinned))] \
             == ["pinned.event"]
         assert not (tmp_path / "env.jsonl").exists()
         configure_event_log(None)
         assert not events_enabled()
-        assert emit("dropped", "compile") is False
+        assert emit("dropped") is False
 
     def test_ambient_id_inherited_and_overridable(self, tmp_path):
         path = tmp_path / "events.jsonl"
         configure_event_log(str(path))
         with compile_context("ambient01"):
-            emit("uses.ambient", "compile")
-            emit("uses.explicit", "compile", compile_id="explicit1")
-        emit("uses.none", "compile")
+            emit("uses.ambient")
+            emit("uses.explicit", compile_id="explicit1")
+        emit("uses.none")
         by_name = {e["name"]: e["compile_id"]
                    for e in read_events(str(path))}
         assert by_name == {"uses.ambient": "ambient01",
@@ -185,13 +206,13 @@ class TestJournal:
         child = (
             "from repro.obs.events import emit\n"
             "for n in range(50):\n"
-            "    emit('child.event', 'compile', n=n, pad='x' * 64)\n")
+            "    emit('child.event', n=n, pad='x' * 64)\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src")
         procs = [subprocess.Popen([sys.executable, "-c", child], env=env)
                  for _ in range(3)]
         for _ in range(50):
-            emit("parent.event", "compile", pad="y" * 64)
+            emit("parent.event", pad="y" * 64)
         for p in procs:
             assert p.wait(timeout=120) == 0
         events = read_events(str(path))   # raises on any torn line
@@ -537,32 +558,47 @@ class TestDocDrift:
     def _src_literals(self, pattern):
         found = set()
         for path in (REPO / "src").rglob("*.py"):
-            if path.name == "metrics.py":
-                # the registry module itself only *mentions* names in
-                # docstrings (including a placeholder "x")
+            if path.parent.name == "obs":
+                # the telemetry package itself only *mentions* names
+                # in docstrings (including a placeholder "x")
                 continue
             found.update(pattern.findall(path.read_text()))
         return found
 
-    def test_every_emitted_metric_is_documented(self):
-        pattern = re.compile(
-            r"\.(?:counter|gauge|histogram)\(\s*\"([^\"]+)\"\s*\)")
-        emitted = self._src_literals(pattern)
-        assert len(emitted) >= 40, "metric scan broke"
+    def _recorded_names(self):
+        """Every name passed to ``record()`` in src/: the literal ones,
+        plus the names the worker-failure loop and the breaker probe
+        build from their caller's prefix."""
+        names = self._src_literals(
+            re.compile(r"\brecord\(\s*\"([^\"]+)\""))
+        prefixes = self._src_literals(re.compile(
+            r"\b(?:retry_worker_failures|breaker_refuses)\(\s*\"(\w+)\""))
+        kinds = self._src_literals(re.compile(
+            r"\bnote\(\s*\"(\w+)\"|f\"\{prefix\}\.(\w+)\""))
+        kinds = {k for pair in kinds for k in pair if k}
+        assert prefixes == {"parallel", "taskgraph", "batch"}, prefixes
+        assert kinds == {"worker_failure", "pool_restart", "retry",
+                         "fallback", "breaker_block"}, kinds
+        return names | {f"{p}.{k}" for p in prefixes for k in kinds}
+
+    def test_every_record_name_is_documented(self):
+        recorded = self._recorded_names()
+        assert len(recorded) >= 60, "record scan broke"
         documented = self._documented_names()
-        missing = sorted(emitted - documented)
+        missing = sorted(recorded - documented)
         assert not missing, (
-            f"metrics emitted in src/ but absent from "
+            f"facts recorded in src/ but absent from "
             f"docs/observability.md: {missing}")
 
-    def test_every_event_name_is_documented(self):
-        pattern = re.compile(r"\bemit(?:_event)?\(\s*\"([^\"]+)\"")
-        emitted = {n for n in self._src_literals(pattern) if "." in n}
-        assert len(emitted) >= 25, "event scan broke"
+    def test_every_measurement_is_documented(self):
+        pattern = re.compile(
+            r"\.(?:counter|gauge|histogram)\(\s*\"([^\"]+)\"\s*\)")
+        measured = self._src_literals(pattern)
+        assert len(measured) >= 20, "measurement scan broke"
         documented = self._documented_names()
-        missing = sorted(emitted - documented)
+        missing = sorted(measured - documented)
         assert not missing, (
-            f"events emitted in src/ but absent from "
+            f"measurements taken in src/ but absent from "
             f"docs/observability.md: {missing}")
 
 
@@ -626,7 +662,7 @@ class TestEndToEnd:
         assert parsed['compile_seconds{quantile="0.5"}'] >= 0
         assert parsed['compile_seconds{quantile="0.99"}'] >= 0
         assert parsed["compile_seconds_count"] >= 2
-        assert parsed["compile_cache_memory_miss_total"] >= 1
+        assert parsed["cache_memory_miss_total"] >= 1
 
         # the bench trajectory gains an entry the CLI can gate on
         obs_bench.record_entry(

@@ -187,7 +187,7 @@ class TestCacheCorruption:
                              source="src", kernel=object()))
         with injected(FaultPlan().corrupt_cache()):
             cache.get("k")
-        assert metrics.counter("cache.corruption_misses").value == 1
+        assert metrics.counter("cache.memory.corrupt").value == 1
 
     def test_pipeline_recompiles_after_corruption(self):
         data = np.arange(16, dtype=np.float32)

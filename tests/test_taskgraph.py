@@ -214,6 +214,14 @@ class TestTaskGraphExecution:
         assert st.graphs == 1 and st.tasks > 0 and st.fallbacks == 0
         assert st.last_width >= 2
 
+    def test_completed_graph_answers_done(self):
+        # True tells the emitted preamble to skip the sequential nest.
+        b, inp, ref = heat_case({"T": 6, "N": 40})
+        k = self.compile_heat(b)
+        with k.runtime.sharing({"u": inp["u"].copy()}) as views:
+            assert k.runtime.run_taskgraph({"T": 6, "N": 40}) is True
+            assert np.array_equal(views["u"], ref["u"])
+
     def test_empty_dag_is_a_noop(self):
         # T=1: the t loop runs zero iterations; the graph is empty and
         # the runtime answers "done" without touching the pool.
@@ -297,10 +305,10 @@ class TestTaskGraphExecution:
         from repro.obs.metrics import metrics
         b, inp, __ = heat_case({"T": 12, "N": 80})
         k = self.compile_heat(b)
-        graphs0 = metrics.counter("taskgraph.graphs").value
+        graphs0 = metrics.counter("taskgraph.schedule").value
         tasks0 = metrics.counter("taskgraph.tasks").value
         k(u=inp["u"].copy(), T=12, N=80)
-        assert metrics.counter("taskgraph.graphs").value == graphs0 + 1
+        assert metrics.counter("taskgraph.schedule").value == graphs0 + 1
         assert metrics.counter("taskgraph.tasks").value > tasks0
         st = k.runtime.taskgraph_stats
         assert st.last_wall_seconds > 0
